@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .linalg import (
     AmbientMismatch,
-    Matrix,
+    CertificateError,
     Subspace,
     enumerate_subspaces,
     flatten_subspace,
@@ -60,7 +60,6 @@ from .rank_metric import (
 from .search import (
     BudgetExceeded,
     Certificate,
-    SearchJob,
     census_codes,
     max_evasive_dim,
     omega_exhaustive,
@@ -71,11 +70,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientMismatch", "BadBasis", "BudgetExceeded", "Certificate",
-    "CountReport", "CuttingVerdict", "FieldTower", "Matrix",
+    "CertificateError", "CountReport", "CuttingVerdict", "FieldTower",
     "MethodInapplicable", "MinimalityVerdict", "NonIrreducible",
-    "OmegaBounds", "PreconditionViolated", "RankCode", "SearchJob",
-    "Subspace", "SuiteReport", "UnknownSuite", "avoid_complement",
-    "census_codes", "chi", "chi_code", "column_support",
+    "OmegaBounds", "PreconditionViolated", "RankCode", "Subspace",
+    "SuiteReport", "UnknownSuite", "avoid_complement", "census_codes",
+    "chi", "chi_code", "column_support",
     "constant_weight_class", "count_r_minimal", "drop_weight_subcode",
     "enumerate_subspaces", "evasive_bound_certifies", "flatten_subspace",
     "grw", "grw_sequence", "is_cutting", "is_evasive", "is_r_minimal",

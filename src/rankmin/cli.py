@@ -62,13 +62,9 @@ def _read_json_arg(value: str) -> dict:
 def _load_tower(spec: Optional[str], obj: Optional[dict] = None) -> FieldTower:
     if spec:
         return parse_field_spec(spec)
-    if obj and "field" in obj:
+    if isinstance(obj, dict) and isinstance(obj.get("field"), str):
         return parse_field_spec(obj["field"])
     raise UsageError("no field spec given (use --field or embed in JSON)")
-
-
-def _load_code(tower: FieldTower, value: str) -> RankCode:
-    return RankCode.from_json(tower, _read_json_arg(value))
 
 
 def _load_subspace(tower: FieldTower, value: str) -> Subspace:

@@ -44,7 +44,7 @@ def digits_to_int(digits: Sequence[int], base: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Field engines.  _PrimeField and _PolyField both expose: order, add, sub,
-# neg, mul, inv, pow_.  _PolyField stacks on any engine below it, so the
+# neg, mul, inv.  _PolyField stacks on any engine below it, so the
 # same code builds GF(p^e) over GF(p) and GF(q^m) over GF(q).
 # ---------------------------------------------------------------------------
 
@@ -71,9 +71,6 @@ class _PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.order - 2, self.order)
-
-    def pow_(self, a: int, n: int) -> int:
-        return pow(a, n, self.order)
 
 
 class _PolyField:
@@ -185,11 +182,6 @@ class _PolyField:
             return self._exp[(self.order - 1) - self._log[a]]
         return self._pow_poly(a, self.order - 2)
 
-    def pow_(self, a: int, n: int) -> int:
-        if self._log is not None and a != 0:
-            return self._exp[(self._log[a] * n) % (self.order - 1)]
-        return self._pow_poly(a % self.order, n)
-
 
 def _prime_factors(n: int) -> List[int]:
     out = []
@@ -276,9 +268,6 @@ class FieldLevel:
         self.mul = engine.mul
         self.inv = engine.inv
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldLevel({self.name}, order={self.order})"
 
@@ -327,49 +316,6 @@ class FieldTower:
         self.F = FieldLevel(self, "F", self._fops)
         self.E = FieldLevel(self, "E", self._xops)
 
-    # -- base field ------------------------------------------------------
-    def fadd(self, a: int, b: int) -> int:
-        return self._fops.add(a, b)
-
-    def fsub(self, a: int, b: int) -> int:
-        return self._fops.sub(a, b)
-
-    def fneg(self, a: int) -> int:
-        return self._fops.neg(a)
-
-    def fmul(self, a: int, b: int) -> int:
-        return self._fops.mul(a, b)
-
-    def finv(self, a: int) -> int:
-        return self._fops.inv(a)
-
-    # -- top field ---------------------------------------------------------
-    def xadd(self, a: int, b: int) -> int:
-        return self._xops.add(a, b)
-
-    def xsub(self, a: int, b: int) -> int:
-        return self._xops.sub(a, b)
-
-    def xneg(self, a: int) -> int:
-        return self._xops.neg(a)
-
-    def xmul(self, a: int, b: int) -> int:
-        return self._xops.mul(a, b)
-
-    def xinv(self, a: int) -> int:
-        return self._xops.inv(a)
-
-    def xpow(self, a: int, n: int) -> int:
-        return self._xops.pow_(a, n)
-
-    def scalar(self, c: int) -> int:
-        """Embed c in F as an element of E (constant polynomial)."""
-        return c
-
-    def scale(self, c: int, x: int) -> int:
-        """Multiply x in E by the scalar c in F."""
-        return self._xops.mul(self.scalar(c), x)
-
     # -- coordinates -------------------------------------------------------
     def to_coords(self, x: int) -> Tuple[int, ...]:
         """Coordinates of x with respect to the ordered basis (tau_1..tau_m)."""
@@ -386,7 +332,7 @@ class FieldTower:
             return digits_to_int(coords, self.q)
         x = 0
         for c, b in zip(coords, self.basis):
-            x = self.xadd(x, self.scale(c, b))
+            x = self.E.add(x, self.E.mul(c, b))
         return x
 
     def encode(self, x: int) -> int:
@@ -409,7 +355,7 @@ class FieldTower:
         for j in range(n):
             x = 0
             for i in range(self.m):
-                x = self.xadd(x, self.scale(mat[i][j], self.basis[i]))
+                x = self.E.add(x, self.E.mul(mat[i][j], self.basis[i]))
             out.append(x)
         return tuple(out)
 

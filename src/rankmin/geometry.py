@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .fields import FieldTower
 from .linalg import (
+    CertificateError,
     Subspace,
     enumerate_subspaces,
     espan_of_flat,
@@ -44,10 +45,6 @@ class CuttingVerdict:
 # ---------------------------------------------------------------------------
 
 
-def e_subspaces(tower: FieldTower, k: int, h: int):
-    return enumerate_subspaces(tower, "E", k, h)
-
-
 def is_evasive(tower: FieldTower, k: int, j: Subspace, h: int, t: int,
                ) -> Tuple[bool, Optional[Subspace]]:
     """Is J (h,t)-evasive in E^[k]?  Returns a refuting E-subspace on failure.
@@ -65,7 +62,7 @@ def is_evasive(tower: FieldTower, k: int, j: Subspace, h: int, t: int,
         return (t >= 0), (None if t >= 0 else Subspace.zero(tower, "E", k))
     if t >= h * tower.m:
         return True, None  # dim_F(M) = hm already caps the intersection
-    for msub in e_subspaces(tower, k, h):
+    for msub in enumerate_subspaces(tower, "E", k, h):
         flat = flatten_subspace(msub)
         if j.intersection_dim(flat) > t:
             return False, msub
@@ -94,20 +91,20 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
     if route == "all":
         verdicts = [is_cutting(tower, k, s, r, rt)
                     for rt in ("definition", "prop21", "evasive")]
-        assert len({v.verdict for v in verdicts}) == 1, \
-            "cutting routes disagree"
+        if len({v.verdict for v in verdicts}) != 1:
+            raise CertificateError("cutting routes disagree")
         return verdicts[2]
     if route == "definition":
-        for vsub in e_subspaces(tower, k, k - r):
+        for vsub in enumerate_subspaces(tower, "E", k, k - r):
             flat = flatten_subspace(vsub)
             inter = s.intersect(flat)
             if espan_of_flat(inter).dim != k - r:
                 return CuttingVerdict(False, route, vsub)
         return CuttingVerdict(True, route)
     if route == "prop21":
-        for wsub in e_subspaces(tower, k, k - r - 1):
+        for wsub in enumerate_subspaces(tower, "E", k, k - r - 1):
             sw = s.sum(flatten_subspace(wsub))
-            for isub in e_subspaces(tower, k, 1):
+            for isub in enumerate_subspaces(tower, "E", k, 1):
                 if sw.intersection_dim(flatten_subspace(isub)) == 0:
                     return CuttingVerdict(False, route, isub)
         return CuttingVerdict(True, route)
@@ -129,7 +126,7 @@ def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
         raise ValueError("A must be an F-subspace of the flattened E^[k]")
     top = min(k, a.dim // tower.m)
     for d in range(top, 0, -1):
-        for vsub in e_subspaces(tower, k, d):
+        for vsub in enumerate_subspaces(tower, "E", k, d):
             if a.contains(flatten_subspace(vsub)):
                 return d
     return 0
@@ -153,7 +150,7 @@ def _all_e_vectors(tower: FieldTower, k: int):
 def _stabilizer_count(tower: FieldTower, hset: frozenset, k: int) -> int:
     count = 0
     for a in range(1, tower.order):
-        scaled = frozenset(tuple(tower.xmul(a, x) for x in v) for v in hset)
+        scaled = frozenset(tuple(tower.E.mul(a, x) for x in v) for v in hset)
         if scaled == hset:
             count += 1
     return count
@@ -180,7 +177,7 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
     for _ in range(t):
         z = _first_avoiding(tower, k, cur)
         lines.append(z)
-        cur = {tuple(tower.xadd(a, b) for a, b in zip(v, zz))
+        cur = {tuple(tower.E.add(a, b) for a, b in zip(v, zz))
                for v in cur
                for zz in _scalar_multiples(tower, z)}
     out = Subspace.span(tower, "E", k, lines)
@@ -191,13 +188,13 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
             continue
         v = [0] * k
         for c, zz in zip(coeffs, lines):
-            v = [tower.xadd(a, tower.xmul(c, b)) for a, b in zip(v, zz)]
+            v = [tower.E.add(a, tower.E.mul(c, b)) for a, b in zip(v, zz)]
         assert tuple(v) not in original
     return out
 
 
 def _scalar_multiples(tower: FieldTower, z: Sequence[int]):
-    return [tuple(tower.xmul(c, x) for x in z) for c in range(tower.order)]
+    return [tuple(tower.E.mul(c, x) for x in z) for c in range(tower.order)]
 
 
 def _first_avoiding(tower: FieldTower, k: int, cur: set) -> Tuple[int, ...]:
@@ -205,7 +202,7 @@ def _first_avoiding(tower: FieldTower, k: int, cur: set) -> Tuple[int, ...]:
         if z == (0,) * k:
             continue
         # z avoids every aH, a != 0  <=>  no bz lies in H, b != 0
-        if all(tuple(tower.xmul(b, x) for x in z) not in cur
+        if all(tuple(tower.E.mul(b, x) for x in z) not in cur
                for b in range(1, tower.order)):
             return z
     raise PreconditionViolated("no avoiding vector exists")
@@ -270,7 +267,7 @@ def _first_avoiding_subspace(tower: FieldTower, k: int,
         if not cur.contains_vector(flatten_vector(tower, z)):
             # F-subspace: bz in cur for some b != 0 iff ... must check all
             if all(not cur.contains_vector(
-                    flatten_vector(tower, tuple(tower.xmul(b, x) for x in z)))
+                    flatten_vector(tower, tuple(tower.E.mul(b, x) for x in z)))
                     for b in range(2, tower.order)):
                 return z
     raise PreconditionViolated("greedy ran out of vectors")

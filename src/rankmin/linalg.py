@@ -14,8 +14,8 @@ GF(2) the rows also pack into ints, which the rank helpers below use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .fields import FieldLevel, FieldTower
 
@@ -24,6 +24,13 @@ ENUM_ORDER_TAG = "subspace-enum/1"
 
 class AmbientMismatch(ValueError):
     """Operands live in different ambient spaces or field levels."""
+
+
+class CertificateError(AssertionError):
+    """A check that guards a certified answer or a cross-check failed.
+
+    Raised explicitly, so the guard stays active under ``python -O``.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +67,19 @@ def rref(rows: Sequence[Sequence[int]], level: FieldLevel,
     return out, r, tuple(pivots)
 
 
-def rank_of(rows: Sequence[Sequence[int]], level: FieldLevel) -> int:
-    if not rows:
-        return 0
-    if level.order == 2:
-        return rank_gf2([pack_gf2(r) for r in rows])
-    return rref(rows, level)[1]
+def mat_vec(level: FieldLevel, rows: Sequence[Sequence[int]],
+            vec: Sequence[int]) -> Tuple[int, ...]:
+    """vec * rows (row vector times matrix)."""
+    ncols = len(rows[0]) if rows else 0
+    add, mul = level.add, level.mul
+    out = [0] * ncols
+    for c, row in zip(vec, rows):
+        if c == 0:
+            continue
+        for j, v in enumerate(row):
+            if v:
+                out[j] = add(out[j], mul(c, v))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -96,68 +110,6 @@ def rank_gf2(rows: Iterable[int]) -> int:
                 break
             v ^= b
     return len(basis)
-
-
-# ---------------------------------------------------------------------------
-# Matrix wrapper (only for I/O and generator-matrix plumbing).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Matrix:
-    tower: FieldTower
-    level_name: str  # "F" or "E"
-    rows: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def level(self) -> FieldLevel:
-        return self.tower.F if self.level_name == "F" else self.tower.E
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def to_json(self) -> dict:
-        enc = self.tower.encode if self.level_name == "E" else (lambda x: x)
-        return {
-            "level": self.level_name,
-            "rows": [[enc(v) for v in row] for row in self.rows],
-        }
-
-    @staticmethod
-    def from_json(tower: FieldTower, obj: dict) -> "Matrix":
-        level_name = obj["level"]
-        dec = tower.decode if level_name == "E" else (lambda x: x)
-        rows = tuple(tuple(dec(v) for v in row) for row in obj["rows"])
-        return Matrix(tower, level_name, rows)
-
-
-def mat_vec(level: FieldLevel, rows: Sequence[Sequence[int]],
-            vec: Sequence[int]) -> Tuple[int, ...]:
-    """vec * rows (row vector times matrix)."""
-    ncols = len(rows[0]) if rows else 0
-    add, mul = level.add, level.mul
-    out = [0] * ncols
-    for c, row in zip(vec, rows):
-        if c == 0:
-            continue
-        for j, v in enumerate(row):
-            if v:
-                out[j] = add(out[j], mul(c, v))
-    return tuple(out)
-
-
-def dot(level: FieldLevel, a: Sequence[int], b: Sequence[int]) -> int:
-    acc = 0
-    add, mul = level.add, level.mul
-    for x, y in zip(a, b):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +239,6 @@ class Subspace:
             total = rref(list(self.rows) + list(other.rows), self.level)[1]
         return self.dim + other.dim - total
 
-    def quotient_dim(self, other: "Subspace") -> int:
-        """Dimension of the image of this subspace in ambient / other."""
-        self._check_compat(other)
-        if self.dim == 0:
-            return 0
-        return self.dim - self.intersection_dim(other)
-
     # -- duality ------------------------------------------------------------
     def dual(self) -> "Subspace":
         """Orthogonal complement under the standard bilinear form a.b^T."""
@@ -330,10 +275,36 @@ class Subspace:
 
     @staticmethod
     def from_json(tower: FieldTower, obj: dict) -> "Subspace":
+        if not isinstance(obj, dict) or obj.get("level") not in ("F", "E"):
+            raise ValueError('subspace "level" must be "F" or "E"')
         level_name = obj["level"]
-        dec = tower.decode if level_name == "E" else (lambda x: x)
-        rows = [[dec(v) for v in row] for row in obj["rref_basis"]]
+        order, dec = ((tower.order, tower.decode) if level_name == "E"
+                      else (tower.q, int))
+        rows = decode_rows(obj, "rref_basis", "ambient", order, dec)
         return Subspace.span(tower, level_name, obj["ambient"], rows)
+
+
+def decode_rows(obj: dict, rows_key: str, width_key: str, order: int,
+                dec: Callable[[int], int]) -> List[List[int]]:
+    """Decode the element rows of a wire object, rejecting malformed shapes
+    (see docs/json-schemas-v1.md) with ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for key in (width_key, rows_key):
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+    width, rows = obj[width_key], obj[rows_key]
+    if not isinstance(width, int) or width < 0:
+        raise ValueError(f"{width_key!r} must be a nonnegative integer")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width for row in rows):
+        raise ValueError(f"{rows_key!r} must be a list of rows of length "
+                         f"{width}")
+    if not all(isinstance(v, int) and 0 <= v < order
+               for row in rows for v in row):
+        raise ValueError(f"{rows_key!r} entries must be integers in "
+                         f"[0, {order})")
+    return [[dec(v) for v in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +395,11 @@ def flatten_subspace(esub: Subspace) -> Subspace:
     tower = esub.tower
     if esub.level_name != "E":
         raise AmbientMismatch("flatten_subspace expects an E-level subspace")
+    mul = tower.E.mul
     vecs = []
     for row in esub.rows:
         for tau in tower.basis:
-            scaled = tuple(tower.xmul(tau, x) for x in row)
+            scaled = tuple(mul(tau, x) for x in row)
             vecs.append(flatten_vector(tower, scaled))
     return Subspace.span(tower, "F", esub.ambient * tower.m, vecs)
 
@@ -460,9 +432,10 @@ def f_rational_part(tower: FieldTower, esub: Subspace) -> Subspace:
     inter = flat.intersect(embedded)
     one = tower.to_coords(1)
     j = next(i for i, c in enumerate(one) if c != 0)
-    cinv = tower.finv(one[j])
+    mul = tower.F.mul
+    cinv = tower.F.inv(one[j])
     m = tower.m
     vecs = []
     for row in inter.rows:
-        vecs.append(tuple(tower.fmul(cinv, row[b * m + j]) for b in range(n)))
+        vecs.append(tuple(mul(cinv, row[b * m + j]) for b in range(n)))
     return Subspace.span(tower, "F", n, vecs)

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from .geometry import is_cutting
 from .linalg import (
+    CertificateError,
     Subspace,
     enumerate_subspaces,
     espan_of_flat,
@@ -40,7 +41,6 @@ from .rank_metric import (
     subcode_weight,
     support_code,
     transposed_dual,
-    weight,
 )
 
 
@@ -126,14 +126,16 @@ def _refute_rank_minimal(code: RankCode, b: Subspace) -> dict:
         w_code = code.subcode(wsub)
         if chi_code(w_code) == target:
             smaller = drop_weight_subcode(w_code)
-            assert target.contains(chi_code(smaller))
-            assert chi_code(smaller) != target
+            if not target.contains(chi_code(smaller)) \
+                    or chi_code(smaller) == target:
+                raise CertificateError("refuting subcode does not shrink "
+                                       "the support")
             return {
                 "refuting_subcode": smaller.to_json(),
                 "chi_dim": chi_code(smaller).dim,
                 "target_chi_dim": target.dim,
             }
-    raise AssertionError("no refutation found for a false verdict")
+    raise CertificateError("no refutation found for a false verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +167,10 @@ def is_r_minimal(code: RankCode, r: int, method: str = "grw",
         if dual_criterion_applicable(code, r):
             methods.append("dual")
         verdicts = [is_r_minimal(code, r, mth) for mth in methods]
-        assert len({v.verdict for v in verdicts}) == 1, \
-            f"criteria disagree on r={r}: " + \
-            str({v.method: v.verdict for v in verdicts})
+        if len({v.verdict for v in verdicts}) != 1:
+            raise CertificateError(
+                f"criteria disagree on r={r}: "
+                + str({v.method: v.verdict for v in verdicts}))
         return verdicts[0]
     if method == "grw":
         ok = grw(code, r + 1) >= m * r + 1
@@ -217,10 +220,11 @@ def _refute_r_minimal(code: RankCode, r: int) -> dict:
             b = msub.dual()  # Bdd = M
             w_code = code.subcode(b)
             _, d_code = max_subcode_weight(w_code, r)
-            assert chi_code(d_code) == chi_code(w_code)
+            if chi_code(d_code) != chi_code(w_code):
+                raise CertificateError("refuting pair has unequal supports")
             return {"w": w_code.to_json(), "d": d_code.to_json(),
                     "chi_dim": chi_code(w_code).dim}
-    raise AssertionError("no refutation found for a false verdict")
+    raise CertificateError("no refutation found for a false verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,6 @@ class ConstantWeightReport:
     is_constant: bool
     constant_subcode_weights: bool
     column_span_full: bool
-    weight_equals_f_dimension: bool
     weights_seen: List[int]
 
     def to_json(self) -> dict:
@@ -259,16 +262,15 @@ class ConstantWeightReport:
             "conditions": {
                 "constant_subcode_weights": self.constant_subcode_weights,
                 "column_span_full": self.column_span_full,
-                "weight_equals_f_dimension": self.weight_equals_f_dimension,
             },
             "weights_seen": self.weights_seen,
         }
 
 
 def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
-    """Evaluate the three equivalent constant-weight conditions and insist
-    they agree: all r-dimensional subcodes share one weight, the column
-    span is all of E^[k], and wt(C) = mk."""
+    """Evaluate two equivalent constant-weight conditions and insist they
+    agree: all r-dimensional subcodes share one weight, and the column span
+    is all of E^[k] (equivalently wt(C) = mk, since wt(C) = dim_F(U))."""
     tower, m, k = code.tower, code.tower.m, code.k
     if k < 2 or not 1 <= r <= k - 1:
         raise ValueError("requires k >= 2 and 1 <= r <= k-1")
@@ -276,6 +278,6 @@ def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
                       for b in subcode_spaces(code, r)})
     cond1 = len(weights) == 1
     cond2 = column_support(code).dim == m * k
-    cond3 = weight(code) == m * k
-    assert cond1 == cond2 == cond3, "constant-weight conditions disagree"
-    return ConstantWeightReport(cond1, cond1, cond2, cond3, weights)
+    if cond1 != cond2:
+        raise CertificateError("constant-weight conditions disagree")
+    return ConstantWeightReport(cond1, cond1, cond2, weights)

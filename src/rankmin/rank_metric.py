@@ -19,7 +19,9 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .fields import FieldTower
 from .linalg import (
+    CertificateError,
     Subspace,
+    decode_rows,
     enumerate_subspaces,
     flatten_subspace,
     flatten_vector,
@@ -101,8 +103,7 @@ class RankCode:
 
     @staticmethod
     def from_json(tower: FieldTower, obj: dict) -> "RankCode":
-        dec = tower.decode
-        rows = [[dec(v) for v in row] for row in obj["rows"]]
+        rows = decode_rows(obj, "rows", "n", tower.order, tower.decode)
         if not rows:
             return RankCode.zero(tower, obj["n"])
         return RankCode(tower, obj["n"], rows)
@@ -132,7 +133,7 @@ def chi(tower: FieldTower, vectors: Sequence[Sequence[int]],
     rows: List[Sequence[int]] = []
     for v in vectors:
         for tau in tower.basis:
-            scaled = [tower.xmul(tau, x) for x in v]
+            scaled = [tower.E.mul(tau, x) for x in v]
             rows.extend(tower.expand(scaled))
     return Subspace.span(tower, "F", n, rows)
 
@@ -175,7 +176,9 @@ def subcode_weight(code: RankCode, b: Subspace, cross_check: bool = False) -> in
     w = u.dim - bdd.intersection_dim(u)
     if cross_check:
         direct = chi(code.tower, [code.codeword(g) for g in b.rows], code.n)
-        assert direct.dim == w, "dual-intersection weight disagrees with chi"
+        if direct.dim != w:
+            raise CertificateError(
+                "dual-intersection weight disagrees with chi")
     return w
 
 
@@ -189,7 +192,7 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
 
     ``geometric`` minimizes dim_F(U) - dim_F(M cap U) over the
     (k-r)-dimensional E-subspaces M of E^[k]; ``brute`` minimizes
-    subcode weights directly; ``both`` cross-asserts the two routes.
+    subcode weights directly; ``both`` cross-checks the two routes.
     """
     if not 0 <= r <= code.k:
         raise ValueError(f"r={r} outside 0..{code.k}")
@@ -198,7 +201,8 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     if method == "both":
         a = grw(code, r, "geometric")
         b = grw(code, r, "brute")
-        assert a == b, f"grw routes disagree: {a} vs {b}"
+        if a != b:
+            raise CertificateError(f"grw routes disagree: {a} vs {b}")
         return a
     if method == "brute":
         return min(

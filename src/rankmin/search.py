@@ -13,19 +13,26 @@ E-line, so a candidate fails as soon as some line has seen more than
 2^t - 1 of its span elements.  Everything else goes through the generic
 deciders.
 
-Work is split into units (pivot set, fill range); unit results merge by
-sum / earliest-witness, so the outcome is independent of worker count and
-scheduling.  No symmetry reduction is applied: exhaustion totals are raw
-subspace counts and must equal the q-binomial.
+Work is split into units (pivot set, fill range).  One result loop
+consumes the output of one unit worker, mapped in-process for a single
+thread or by a fork pool whose workers inherit the scan context; results
+merge by sum / earliest-witness, so the outcome is independent of worker
+count and scheduling.  No symmetry reduction is applied: exhaustion totals
+are raw subspace counts and must equal the q-binomial.
+
+Checks that guard a certified answer raise CertificateError explicitly, so
+they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .combinatorics import (
     CountReport,
@@ -34,12 +41,14 @@ from .combinatorics import (
     omega_bounds,
     qbinom,
 )
-from .fields import FieldTower, parse_field_spec
+from .fields import FieldTower, int_to_digits
 from .geometry import is_cutting, is_evasive
 from .linalg import (
     ENUM_ORDER_TAG,
+    CertificateError,
     Subspace,
     enumerate_subspaces,
+    espan_of_flat,
     free_cells,
     rref_from_fill,
     unpack_gf2,
@@ -48,6 +57,8 @@ from .rank_metric import RankCode, weight
 
 SCHEMA_VERSION = 1
 _FILL_CHUNK = 1 << 16
+
+Rows = Tuple[Tuple[int, ...], ...]
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,43 +69,6 @@ class BudgetExceeded(RuntimeError):
         self.lower = lower
         self.upper = upper
         self.certificates = certificates
-
-
-@dataclass
-class SearchJob:
-    tower_spec: str
-    target: str                       # omega | census | max_evasive
-    params: Dict[str, int]
-    shards: int = 1
-    shard_index: int = 0
-    budget: Optional[int] = None      # max subspaces visited
-    time_budget_s: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "tower": self.tower_spec, "target": self.target,
-            "params": dict(self.params), "shards": self.shards,
-            "shard_index": self.shard_index, "budget": self.budget,
-            "time_budget_s": self.time_budget_s,
-        }
-
-
-def run_search_job(job: SearchJob, threads: int = 1):
-    """Dispatch a SearchJob to its target function."""
-    tower = parse_field_spec(job.tower_spec)
-    p = job.params
-    if job.target == "omega":
-        return omega_exhaustive(tower, p["k"], p["r"],
-                                dim_cap=p.get("dim_cap"), threads=threads,
-                                budget=job.budget,
-                                time_budget_s=job.time_budget_s)
-    if job.target == "census":
-        return census_codes(tower, p["n"], p["k"], r=p.get("r"),
-                            budget=job.budget)
-    if job.target == "max_evasive":
-        return max_evasive_dim(tower, p["k"], p["h"], p["t"],
-                               budget=job.budget)
-    raise ValueError(f"unknown search target {job.target!r}")
 
 
 @dataclass
@@ -173,22 +147,20 @@ class _LineTable:
         assert n_flat <= 22, "line table would be too large"
         comp_mask = (1 << m) - 1
         # packed m-bit group -> E element (basis coordinates -> element)
-        from .fields import int_to_digits
         elem_of = [tower.from_coords(int_to_digits(b, 2, m))
                    for b in range(1 << m)]
         coords_of = {}
         for b in range(1 << m):
             coords_of[elem_of[b]] = b
-        self.elem_of = elem_of
         line_of = [0] * (1 << n_flat)
         reps: Dict[int, int] = {}
         for v in range(1, 1 << n_flat):
             comps = [elem_of[(v >> (j * m)) & comp_mask] for j in range(k)]
             lead = next(c for c in comps if c)
-            inv = tower.xinv(lead)
+            inv = tower.E.inv(lead)
             canon = 0
             for j, c in enumerate(comps):
-                canon |= coords_of[tower.xmul(inv, c)] << (j * m)
+                canon |= coords_of[tower.E.mul(inv, c)] << (j * m)
             lid = reps.setdefault(canon, len(reps))
             line_of[v] = lid
         self.line_of = line_of
@@ -196,31 +168,6 @@ class _LineTable:
         self.k = k
         self.m = m
         self.tower = tower
-
-    def espan_full(self, rows: Sequence[int]) -> bool:
-        """Rank over E of the unflattened rows equals k."""
-        tower, m, k = self.tower, self.m, self.k
-        comp_mask = (1 << m) - 1
-        elem_of = self.elem_of
-        basis: List[List[int]] = []
-        pivots: List[int] = []
-        for packed in rows:
-            vec = [elem_of[(packed >> (j * m)) & comp_mask] for j in range(k)]
-            for brow, p in zip(basis, pivots):
-                c = vec[p]
-                if c:
-                    vec = [tower.xsub(x, tower.xmul(c, y))
-                           for x, y in zip(vec, brow)]
-            piv = next((j for j, c in enumerate(vec) if c), None)
-            if piv is None:
-                continue
-            inv = tower.xinv(vec[piv])
-            vec = [tower.xmul(inv, x) for x in vec]
-            basis.append(vec)
-            pivots.append(piv)
-            if len(basis) == k:
-                return True
-        return len(basis) == k
 
 
 _LINE_TABLES: Dict[Tuple[FieldTower, int], _LineTable] = {}
@@ -269,10 +216,10 @@ def _unit_list(ambient: int, d: int, order: int,
 
 def _scan_unit_q2_h1(table: _LineTable, r: int, d: int,
                      pivots: Tuple[int, ...], lo: int, hi: int,
-                     stop_at_first: bool) -> Tuple[int, Optional[List[int]], int]:
+                     stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
     """Scan one unit with the E-line histogram test (h = 1).
 
-    Returns (visited, witness_rows or None, witness_fill).
+    Returns (visited, witness rows or None).
     """
     ambient = table.k * table.m
     m = table.m
@@ -291,7 +238,7 @@ def _scan_unit_q2_h1(table: _LineTable, r: int, d: int,
             rows[cell_row[j]] |= cell_bit[j]
     if t < 0:
         # dimension too small to cut; nothing to test candidate-by-candidate
-        return hi - lo, None, -1
+        return hi - lo, None
     cap = (1 << t) - 1
     line_of = table.line_of
     num_lines = table.num_lines
@@ -304,7 +251,6 @@ def _scan_unit_q2_h1(table: _LineTable, r: int, d: int,
     tag = 0
     visited = 0
     witness = None
-    witness_fill = -1
     span_size = 1 << d
     for fill in range(lo, hi):
         if fill != lo:
@@ -335,60 +281,44 @@ def _scan_unit_q2_h1(table: _LineTable, r: int, d: int,
                             ok = False
                             break
                         cnt[lid] = c
-        if ok and witness is None and table.espan_full(rows):
-            witness = list(rows)
-            witness_fill = fill
-            if stop_at_first:
-                return visited, witness, witness_fill
-    return visited, witness, witness_fill
+        if ok and witness is None:
+            flat = tuple(unpack_gf2(rw, ambient) for rw in rows)
+            sub = Subspace(table.tower, "F", ambient, flat, pivots)
+            if espan_of_flat(sub).dim == table.k:
+                witness = flat
+                if stop_at_first:
+                    return visited, witness
+    return visited, witness
 
 
 def _scan_unit_generic(tower: FieldTower, k: int, r: int, d: int,
                        pivots: Tuple[int, ...], lo: int, hi: int,
-                       stop_at_first: bool,
-                       ) -> Tuple[int, Optional[Subspace], int]:
+                       stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
     ambient = k * tower.m
     order = tower.q
     cells = free_cells(pivots, ambient)
     visited = 0
-    witness: Optional[Subspace] = None
-    witness_fill = -1
+    witness = None
     for fill in range(lo, hi):
         rows = rref_from_fill(pivots, ambient, cells, fill, order)
         sub = Subspace(tower, "F", ambient,
                        tuple(tuple(rw) for rw in rows), tuple(pivots))
         visited += 1
         if witness is None and is_cutting(tower, k, sub, r).verdict:
-            witness, witness_fill = sub, fill
+            witness = sub.rows
             if stop_at_first:
-                return visited, witness, witness_fill
-    return visited, witness, witness_fill
+                return visited, witness
+    return visited, witness
 
 
-# shared state for worker processes (populated by _pool_init)
-_WORKER_CTX: dict = {}
+# The unit worker of the running scan, (pivots, lo, hi) -> (visited, witness
+# rows or None).  It is set before the pool forks, so workers inherit it.
+_UNIT_WORKER: Optional[Callable] = None
 
 
-def _pool_init(spec: str, k: int, r: int, d: int, stop_at_first: bool):
-    tower = parse_field_spec(spec)
-    ctx = {"tower": tower, "k": k, "r": r, "d": d, "stop": stop_at_first}
-    if tower.q == 2 and k - r - 1 == 1:
-        ctx["table"] = _line_table(tower, k)
-    _WORKER_CTX.update(ctx)
-
-
-def _pool_scan(unit) -> Tuple[int, int, Optional[list], int]:
-    uid, pivots, lo, hi = unit
-    ctx = _WORKER_CTX
-    if "table" in ctx:
-        visited, rows, fill = _scan_unit_q2_h1(
-            ctx["table"], ctx["r"], ctx["d"], pivots, lo, hi, ctx["stop"])
-        return uid, visited, rows, fill
-    visited, sub, fill = _scan_unit_generic(
-        ctx["tower"], ctx["k"], ctx["r"], ctx["d"], pivots, lo, hi,
-        ctx["stop"])
-    rows = [list(rw) for rw in sub.rows] if sub is not None else None
-    return uid, visited, rows, fill
+def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
+    _, pivots, lo, hi = unit
+    return _UNIT_WORKER(pivots, lo, hi)
 
 
 def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
@@ -397,58 +327,34 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
                    budget: Optional[int] = None) -> ScanResult:
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
     set, in enumeration order.  Deterministic for any thread count."""
+    global _UNIT_WORKER
     ambient = k * tower.m
     units = _unit_list(ambient, d, tower.q, shards, shard_index)
-    fast = tower.q == 2 and k - r - 1 == 1
-    if fast:
-        table = _line_table(tower, k)
+    if tower.q == 2 and k - r - 1 == 1:
+        _UNIT_WORKER = functools.partial(
+            _scan_unit_q2_h1, _line_table(tower, k), r, d,
+            stop_at_first=stop_at_first)
+    else:
+        _UNIT_WORKER = functools.partial(
+            _scan_unit_generic, tower, k, r, d, stop_at_first=stop_at_first)
     visited_total = 0
-    witness_sub: Optional[Subspace] = None
-    stopped_early = False
-
-    def handle(visited, rows):
-        nonlocal visited_total, witness_sub
-        visited_total += visited
-        if rows is not None and witness_sub is None:
-            if fast:
-                tup = [unpack_gf2(rw, ambient) for rw in rows]
-                witness_sub = Subspace.span(tower, "F", ambient, tup)
-            else:
-                witness_sub = Subspace.span(tower, "F", ambient,
-                                            [tuple(rw) for rw in rows])
-
-    if threads <= 1 or len(units) <= 1:
-        for unit in units:
-            _, pivots, lo, hi = unit
-            if fast:
-                visited, rows, _ = _scan_unit_q2_h1(
-                    table, r, d, pivots, lo, hi, stop_at_first)
-            else:
-                visited, sub, _ = _scan_unit_generic(
-                    tower, k, r, d, pivots, lo, hi, stop_at_first)
-                rows = [list(rw) for rw in sub.rows] if sub else None
-            handle(visited, rows)
-            if witness_sub is not None and stop_at_first:
-                stopped_early = True
-                break
+    witness: Optional[Subspace] = None
+    with contextlib.ExitStack() as stack:
+        if threads > 1 and len(units) > 1:
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(threads))
+            results = pool.imap(_run_unit, units, chunksize=1)
+        else:
+            results = map(_run_unit, units)
+        for visited, rows in results:
+            visited_total += visited
+            if rows is not None and witness is None:
+                witness = Subspace.span(tower, "F", ambient, rows)
+                if stop_at_first:
+                    return ScanResult(d, visited_total, False, witness)
             if budget is not None and visited_total > budget:
                 raise BudgetExceeded(d, d, [])
-    else:
-        ctxm = multiprocessing.get_context("fork")
-        with ctxm.Pool(threads, initializer=_pool_init,
-                       initargs=(tower.spec_string(), k, r, d,
-                                 stop_at_first)) as pool:
-            for _, visited, rows, _ in pool.imap(
-                    _pool_scan, units, chunksize=1):
-                handle(visited, rows)
-                if witness_sub is not None and stop_at_first:
-                    stopped_early = True
-                    pool.terminate()
-                    break
-                if budget is not None and visited_total > budget:
-                    pool.terminate()
-                    raise BudgetExceeded(d, d, [])
-    return ScanResult(d, visited_total, not stopped_early, witness_sub)
+    return ScanResult(d, visited_total, True, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +403,8 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
             raise BudgetExceeded(d, bounds.upper, certs) from None
         visited_total += res.visited
         if res.witness is None:
-            expected = qbinom(tower.q, ambient, d)
-            assert res.visited == expected, \
-                f"exhaustion visited {res.visited} != {expected}"
             exhaust_results[d] = res
-            certs.append(_exhaustion_certificate(spec, k, r, d, res))
+            certs.append(_exhaustion_certificate(tower, spec, k, r, d, res))
             d += 1
             continue
         # witness found at d: make sure d-1 was exhausted
@@ -517,15 +420,14 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
                                        stop_at_first=False, threads=threads,
                                        budget=remaining)
                 visited_total += below.visited
-                assert below.witness is None, \
-                    "witness below the rule lower bound: bounds are wrong"
-                expected = qbinom(tower.q, ambient, d - 1)
-                assert below.visited == expected
+                if below.witness is not None:
+                    raise CertificateError("witness below the rule lower "
+                                           "bound: bounds are wrong")
                 exhaustion_cert = _exhaustion_certificate(
-                    spec, k, r, d - 1, below)
+                    tower, spec, k, r, d - 1, below)
                 certs.append(exhaustion_cert)
-        assert bounds.lower <= d <= bounds.upper, \
-            "computed value escapes the rule interval"
+        if not bounds.lower <= d <= bounds.upper:
+            raise CertificateError("computed value escapes the rule interval")
         return OmegaResult(
             value=d,
             witness_certificate=witness_cert,
@@ -535,15 +437,16 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
             paper_verified=bounds.exact,
             visited_total=visited_total,
         )
-    raise AssertionError("no cutting set found up to the dimension cap; "
-                         "the upper-bound rules contradict the search")
+    raise CertificateError("no cutting set found up to the dimension cap; "
+                           "the upper-bound rules contradict the search")
 
 
 def _witness_certificate(tower: FieldTower, spec: str, k: int, r: int,
                          d: int, witness: Subspace) -> Certificate:
     # re-verify through the public decider before certifying
     verdict = is_cutting(tower, k, witness, r)
-    assert verdict.verdict, "witness failed re-verification"
+    if not verdict.verdict:
+        raise CertificateError("witness failed re-verification")
     return Certificate(
         kind="witness", tower_spec=spec, target="omega",
         params={"k": k, "r": r, "dimension": d},
@@ -551,8 +454,12 @@ def _witness_certificate(tower: FieldTower, spec: str, k: int, r: int,
     )
 
 
-def _exhaustion_certificate(spec: str, k: int, r: int, d: int,
-                            res: ScanResult) -> Certificate:
+def _exhaustion_certificate(tower: FieldTower, spec: str, k: int, r: int,
+                            d: int, res: ScanResult) -> Certificate:
+    expected = qbinom(tower.q, k * tower.m, d)
+    if res.visited != expected:
+        raise CertificateError(
+            f"exhaustion visited {res.visited} != {expected}")
     return Certificate(
         kind="exhaustion", tower_spec=spec, target="omega",
         params={"k": k, "r": r, "dimension": d},
@@ -600,7 +507,9 @@ def census_codes(tower: FieldTower, n: int, k: int,
             rep = constant_weight_class(code, constant_weight_r)
             if rep.is_constant:
                 constant += 1
-    assert counts["total"] == total
+    if counts["total"] != total:
+        raise CertificateError(
+            f"census visited {counts['total']} codes, expected {total}")
     report = CountReport(
         inputs={"q": tower.q, "m": m, "n": n, "k": k,
                 **({"r": r} if r is not None else {})},
@@ -662,11 +571,12 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
 
 def _check_evasive_caps(m: int, k: int, h: int, t: int, d: int) -> None:
     if t == h and d >= k + 1 and h <= k:
-        assert d <= k * m // (h + 1), "evasive dimension beats the cap"
+        if d > k * m // (h + 1):
+            raise CertificateError("evasive dimension beats the cap")
     if h <= k:
         # the corollary bound applies when t = 2k - lam - s for lam = k - h
         lam = k - h
         s = 2 * k - lam - t
         cap = corollary_52_bound(m, k, lam, s)
-        if cap is not None:
-            assert d <= cap, "evasive dimension beats the corollary cap"
+        if cap is not None and d > cap:
+            raise CertificateError("evasive dimension beats the corollary cap")

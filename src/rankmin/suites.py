@@ -164,16 +164,15 @@ def _suite_field_axioms(towers, trials, seed):
     fails = {}
     count = 0
     for tower in towers:
+        add, mul = tower.E.add, tower.E.mul
         for trial in range(trials):
             rng = _rng_for(seed, "field-axioms", trial)
             a, b, c = (rng.randrange(tower.order) for _ in range(3))
             count += 1
             checks = {
-                "mul-assoc": tower.xmul(a, tower.xmul(b, c))
-                == tower.xmul(tower.xmul(a, b), c),
-                "distrib": tower.xmul(a, tower.xadd(b, c))
-                == tower.xadd(tower.xmul(a, b), tower.xmul(a, c)),
-                "inverse": a == 0 or tower.xmul(a, tower.xinv(a)) == 1,
+                "mul-assoc": mul(a, mul(b, c)) == mul(mul(a, b), c),
+                "distrib": mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
+                "inverse": a == 0 or mul(a, tower.E.inv(a)) == 1,
             }
             for name, ok in checks.items():
                 if not ok and name not in fails:
@@ -186,6 +185,7 @@ def _suite_expand_linear(towers, trials, seed):
     fails = {}
     count = 0
     for tower in towers:
+        E, F = tower.E, tower.F
         for trial in range(trials):
             rng = _rng_for(seed, "expand-linear", trial)
             n = rng.randrange(1, 5)
@@ -193,12 +193,11 @@ def _suite_expand_linear(towers, trials, seed):
             al = tuple(rng.randrange(tower.order) for _ in range(n))
             be = tuple(rng.randrange(tower.order) for _ in range(n))
             count += 1
-            combo = tuple(
-                tower.xadd(tower.scale(a, x), tower.scale(b, y))
-                for x, y in zip(al, be))
+            combo = tuple(E.add(E.mul(a, x), E.mul(b, y))
+                          for x, y in zip(al, be))
             ma, mb = tower.expand(al), tower.expand(be)
             expect = [
-                [tower.fadd(tower.fmul(a, ma[i][j]), tower.fmul(b, mb[i][j]))
+                [F.add(F.mul(a, ma[i][j]), F.mul(b, mb[i][j]))
                  for j in range(n)] for i in range(tower.m)]
             if tower.expand(combo) != expect and "linear" not in fails:
                 fails["linear"] = _cx(tower, alpha=list(al), beta=list(be))
@@ -222,7 +221,7 @@ def _suite_rank_support(towers, trials, seed):
             alpha = tuple(rng.randrange(tower.order) for _ in range(n))
             c = rng.randrange(1, tower.order)
             count += 1
-            scaled = tuple(tower.xmul(c, x) for x in alpha)
+            scaled = tuple(tower.E.mul(c, x) for x in alpha)
             if rank_support(tower, scaled) != rank_support(tower, alpha):
                 fails.setdefault("scalar-invariance",
                                  _cx(tower, alpha=list(alpha), c=c))

@@ -167,6 +167,39 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def _wt(code_obj):
+    return ["wt", "--field", "p=2,e=1,m=2", "--code", json.dumps(code_obj)]
+
+
+def _cutting(sub_obj):
+    return ["cutting", "--field", "p=2,e=1,m=2", "--r", "1",
+            "--subspace", json.dumps(sub_obj)]
+
+
+F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    _wt({"n": 3, "k": 2}),                                 # no rows
+    _wt({"rows": [[1, 0, 2]]}),                            # no n
+    _wt({"n": "3", "rows": [[1, 0, 2]]}),                  # n not an int
+    _wt({"n": 3, "rows": [1, 0, 2]}),                      # rows not nested
+    _wt({"n": 3, "rows": [[1, 0]]}),                       # short row
+    _wt({"n": 3, "rows": [[1, 0, 4]]}),                    # element >= |E|
+    _wt({"n": 3, "rows": [[1, 0, "2"]]}),                  # element a string
+    ["wt", "--code", json.dumps({"field": 5, "n": 1, "rows": [[1]]})],
+    _cutting({"level": "F"}),                              # no rref_basis
+    _cutting(dict(F_SUB, level="X")),                      # unknown level
+    _cutting(dict(F_SUB, ambient=None)),                   # ambient not int
+    _cutting(dict(F_SUB, rref_basis=[[1, 0, 2, 0]])),      # element >= |F|
+    _cutting(dict(F_SUB, rref_basis=[[1, 0]])),            # short row
+])
+def test_malformed_wire_json_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_omega_sharded_scan_mode(capsys):
     total = 0
     witnesses = 0

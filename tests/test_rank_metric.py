@@ -55,7 +55,7 @@ def test_rank_support_scalar_invariance_and_basis_invariance():
     for _ in range(80):
         alpha = tuple(rng.randrange(4) for _ in range(3))
         c = rng.randrange(1, 4)
-        scaled = tuple(GF4.xmul(c, x) for x in alpha)
+        scaled = tuple(GF4.E.mul(c, x) for x in alpha)
         assert rank_support(GF4, scaled) == rank_support(GF4, alpha)
         assert rank_support(alt, alpha) == rank_support(GF4, alpha)
 

@@ -1,5 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import rankmin
 from rankmin.combinatorics import qbinom
 from rankmin.fields import make_field
 from rankmin.geometry import is_cutting, is_evasive
@@ -68,11 +75,23 @@ def test_scan_dimension_counts_and_shards():
     assert full.complete and full.witness is None
 
 
-def test_scan_dimension_threads_deterministic():
-    a = scan_dimension(GF8, 2, 1, 4, stop_at_first=True, threads=1)
-    b = scan_dimension(GF8, 2, 1, 4, stop_at_first=True, threads=2)
-    assert a.witness == b.witness
-    assert a.witness is not None
+@pytest.mark.parametrize("tower, k, r, d, stop, shards, index, found", [
+    (GF8, 2, 1, 4, True, 1, 0, True),            # generic kernel, q = 2
+    (GF8, 3, 1, 5, True, 9, 4, False),           # GF(2) line kernel, exhausts
+    (GF8, 3, 1, 6, True, 1, 0, True),            # GF(2) line kernel
+    (GF9, 2, 1, 3, True, 1, 0, True),            # generic kernel, q = 3
+    (GF4, 3, 1, 5, False, 2, 0, True),           # every unit, sharded
+    (make_field(2, 3, basis=[1, 3, 7]), 3, 1, 6, True, 1, 0, True),
+], ids=["generic-gf8", "q2-line-d5-shard", "q2-line-d6", "generic-gf9",
+        "no-stop-sharded", "custom-basis"])
+def test_scan_dimension_threads_deterministic(tower, k, r, d, stop, shards,
+                                              index, found):
+    a, b = (scan_dimension(tower, k, r, d, stop_at_first=stop,
+                           threads=threads, shards=shards, shard_index=index)
+            for threads in (1, 2))
+    assert (a.visited, a.complete, a.witness) == \
+        (b.visited, b.complete, b.witness)
+    assert (a.witness is not None) == found
 
 
 def test_unit_list_partitions_exactly():
@@ -159,17 +178,32 @@ def test_census_formula_agreement_gf9():
     assert rep.formulas["r_minimal_formula"] == count_r_minimal(3, 2, 3, 1)
 
 
-def test_run_search_job_dispatch():
-    from rankmin.search import SearchJob, run_search_job
+def test_witness_guard_survives_python_optimize():
+    # python -O strips assert statements; the re-verification of a witness
+    # must still refuse to certify when the decider rejects it.
+    script = textwrap.dedent("""
+        from rankmin import search
+        from rankmin.fields import make_field
+        from rankmin.geometry import CuttingVerdict
+        from rankmin.linalg import CertificateError
 
-    job = SearchJob(tower_spec="p=2,e=1,m=2,ext=1,1,1", target="omega",
-                    params={"k": 2, "r": 1})
-    res = run_search_job(job)
-    assert res.value == 3
-    job2 = SearchJob(tower_spec="p=2,e=1,m=2,ext=1,1,1", target="census",
-                     params={"n": 3, "k": 2, "r": 1})
-    rep = run_search_job(job2)
-    assert rep.counts["r_minimal"] == 14
+        search.is_cutting = lambda *args, **kw: CuttingVerdict(False, "stub")
+        gf4 = make_field(2, 2, ext_poly=(1, 1, 1))
+        try:
+            res = search.omega_exhaustive(gf4, 3, 1)
+        except CertificateError as err:
+            print("refused:", err)
+        else:
+            print("certified:", res.value)
+    """)
+    src = str(pathlib.Path(rankmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == \
+        "refused: witness failed re-verification"
 
 
 def test_subcode_weight_census_feeds_psi_bound():
