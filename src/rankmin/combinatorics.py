@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class NonIntegerResult(ArithmeticError):
@@ -227,29 +227,33 @@ def evasive_bound_certifies(m: int, lam: int, a: int, u: int, k: int,
         if _lemma_base_condition(m, lam, u, k):
             return EvasiveCertification(True, "base", ())
         return EvasiveCertification(False, "none")
-    seq = _search_descent_sequence(m, lam, a, u, k)
+    # g_1..g_a along the descent chain, then the base condition at
+    # (lam + sum g_i, 0, u + a)
+    seq = _search_sequence(
+        a, m, lambda g, prefix, s: _step_condition(m, lam, u, g, prefix, s),
+        lambda total: _lemma_base_condition(m, lam + total, u + a, k))
     if seq is not None:
         return EvasiveCertification(True, "descent-chain", seq)
     return EvasiveCertification(False, "none")
 
 
-def _search_descent_sequence(m: int, lam: int, a: int, u: int, k: int,
-                             ) -> Optional[Tuple[int, ...]]:
-    """DFS over g_i in [0, m] satisfying the chain inequalities, then the
-    base condition at (lam + sum g_i, 0, u + a)."""
-
+def _search_sequence(length: int, m: int,
+                     step_ok: Callable[[int, int, int], bool],
+                     final_ok: Callable[[int], bool],
+                     ) -> Optional[Tuple[int, ...]]:
+    """The first sequence (g_1..g_length), entries in [0, m], in ascending
+    order, with step_ok(g, prefix, s) at every position s and final_ok(sum)
+    at the end; (position, prefix) pairs without a completion are memoized.
+    """
     dead = set()
 
     def rec(s: int, prefix: int, chosen: List[int]):
-        if s == a:
-            if (k >= lam + prefix
-                    and _base_with_shift(m, lam, u, a, prefix, k)):
-                return tuple(chosen)
-            return None
+        if s == length:
+            return tuple(chosen) if final_ok(prefix) else None
         if (s, prefix) in dead:
             return None
         for g in range(m + 1):
-            if _step_condition(m, lam, u, g, prefix, s):
+            if step_ok(g, prefix, s):
                 out = rec(s + 1, prefix + g, chosen + [g])
                 if out is not None:
                     return out
@@ -257,13 +261,6 @@ def _search_descent_sequence(m: int, lam: int, a: int, u: int, k: int,
         return None
 
     return rec(0, 0, [])
-
-
-def _base_with_shift(m: int, lam: int, u: int, a: int, total: int,
-                     k: int) -> bool:
-    """Quadratic condition for k <-> (lam + total, 0, u + a)."""
-    lam2, u2 = lam + total, u + a
-    return (k * k - (m + lam2 - u2 - 2) * k >= (lam2 - 1) * u2 + lam2)
 
 
 def corollary_52_bound(m: int, k: int, lam: int, s: int) -> Optional[int]:
@@ -343,22 +340,7 @@ def _search_omega_sequence(m: int, k: int, r: int, w: int,
         rhs = (total + r) * ((m - 1) * r + w) + 1
         return lhs >= rhs
 
-    dead = set()
-
-    def rec(s: int, prefix: int, chosen: List[int]):
-        if s == w:
-            return tuple(chosen) if final_ok(prefix) else None
-        if (s, prefix) in dead:
-            return None
-        for g in range(m + 1):
-            if chain_ok(g, prefix, s):
-                out = rec(s + 1, prefix + g, chosen + [g])
-                if out is not None:
-                    return out
-        dead.add((s, prefix))
-        return None
-
-    return rec(0, 0, [])
+    return _search_sequence(w, m, chain_ok, final_ok)
 
 
 def omega_bounds(m: int, k: int, r: int) -> OmegaBounds:

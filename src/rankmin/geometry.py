@@ -92,7 +92,9 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
         verdicts = [is_cutting(tower, k, s, r, rt)
                     for rt in ("definition", "prop21", "evasive")]
         if len({v.verdict for v in verdicts}) != 1:
-            raise CertificateError("cutting routes disagree")
+            raise CertificateError(
+                f"cutting routes disagree on r={r}: "
+                + str({v.route: v.verdict for v in verdicts}))
         return verdicts[2]
     if route == "definition":
         for vsub in enumerate_subspaces(tower, "E", k, k - r):

@@ -48,13 +48,6 @@ class RankCode:
         self._colspan: Optional[Subspace] = None
 
     @staticmethod
-    def from_rows(tower: FieldTower, rows: Sequence[Sequence[int]],
-                  n: Optional[int] = None) -> "RankCode":
-        if n is None:
-            n = len(rows[0]) if rows else 0
-        return RankCode(tower, n, rows)
-
-    @staticmethod
     def zero(tower: FieldTower, n: int) -> "RankCode":
         c = RankCode.__new__(RankCode)
         c.tower, c.n, c.k, c.gen, c._colspan = tower, n, 0, (), None
@@ -264,12 +257,6 @@ def drop_weight_subcode(code: RankCode) -> RankCode:
 # ---------------------------------------------------------------------------
 
 
-def code_from_dd(code: RankCode, w: Subspace) -> Subspace:
-    """The B <= E^k with Bdd = W, for an E-subspace W of E^[k]."""
-    # Bdd = {beta^T : beta in B^perp}; undo the transpose and dualize back.
-    return w.dual()
-
-
 def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     """Largest support weight among s-dimensional subcodes: min(ms, wt(C)).
 
@@ -293,7 +280,7 @@ def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     else:
         # W meeting U trivially: the witness keeps the full support
         v = avoid_complement(tower, k, u, s)
-    b = code_from_dd(code, v)
+    b = v.dual()  # the B <= E^k with Bdd = V
     witness = code.subcode(b)
     got = subcode_weight(code, b)
     assert got == value, "witness weight does not match min(ms, wt(C))"

@@ -194,13 +194,9 @@ def _unit_list(ambient: int, d: int, order: int,
     orchestration can split by ``--shards``/``--shard-index``.
     """
     pivot_sets = list(itertools.combinations(range(ambient), d))
-    if shards > 1:
-        per = (len(pivot_sets) + shards - 1) // shards
-        lo, hi = shard_index * per, min((shard_index + 1) * per,
-                                        len(pivot_sets))
-        chosen = list(enumerate(pivot_sets))[lo:hi]
-    else:
-        chosen = list(enumerate(pivot_sets))
+    per = (len(pivot_sets) + shards - 1) // shards
+    chosen = list(enumerate(pivot_sets))[shard_index * per:
+                                         (shard_index + 1) * per]
     units = []
     uid = 0
     for pidx, pivots in chosen:
@@ -328,6 +324,9 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
     set, in enumeration order.  Deterministic for any thread count."""
     global _UNIT_WORKER
+    if not 0 <= shard_index < shards:
+        raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
+                         f"got shards={shards}, shard_index={shard_index}")
     ambient = k * tower.m
     units = _unit_list(ambient, d, tower.q, shards, shard_index)
     if tower.q == 2 and k - r - 1 == 1:
@@ -477,8 +476,7 @@ def census_codes(tower: FieldTower, n: int, k: int,
                  r: Optional[int] = None,
                  weight_of_interest: Optional[int] = None,
                  constant_weight_r: Optional[int] = None,
-                 budget: Optional[int] = None,
-                 collect_examples: int = 0) -> CountReport:
+                 budget: Optional[int] = None) -> CountReport:
     """Enumerate every [n,k] code, counting r-minimal codes, the weight
     distribution, and optionally constant-weight codes."""
     from .minimality import constant_weight_class, is_r_minimal
@@ -491,7 +489,6 @@ def census_codes(tower: FieldTower, n: int, k: int,
     weight_dist: Dict[int, int] = {}
     minimal = 0
     constant = 0
-    examples: List[dict] = []
     for sub in enumerate_subspaces(tower, "E", n, k):
         code = RankCode(tower, n, sub.rows)
         counts["total"] += 1
@@ -501,8 +498,6 @@ def census_codes(tower: FieldTower, n: int, k: int,
             ok = is_r_minimal(code, r).verdict if 0 < r < k else True
             if ok:
                 minimal += 1
-                if len(examples) < collect_examples:
-                    examples.append(code.to_json())
         if constant_weight_r is not None and k >= 2:
             rep = constant_weight_class(code, constant_weight_r)
             if rep.is_constant:
@@ -527,8 +522,6 @@ def census_codes(tower: FieldTower, n: int, k: int,
         report.counts["constant_weight"] = constant
     if weight_of_interest is not None:
         report.counts["with_weight"] = weight_dist.get(weight_of_interest, 0)
-    if examples:
-        report.counts["examples"] = examples
     return report
 
 

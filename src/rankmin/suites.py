@@ -3,32 +3,40 @@ invariants, run over seeded random instances on small towers.
 
 Each suite yields per-property pass/fail results; a failure carries a
 serialized counterexample and, where a single CLI decision command can
-re-check it, the argv to do so.  Instance generation is seeded per
-(suite, trial), so reports are deterministic for a fixed seed.
+re-check it, a complete argv to do so.  The seeded suites share one
+harness: ``_rngs`` yields one generator per trial, seeded by (seed, suite
+tag, trial), so reports are deterministic for a fixed seed; a ``_Tally``
+keeps the instance count the suite's properties share and the first
+counterexample of each property.  The agreement suites run the deciders'
+own ``all`` routes and report the ``CertificateError`` they raise.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from . import combinatorics as comb
 from .fields import FieldTower, make_field
 from .geometry import is_cutting, is_evasive, linearity_index
 from .linalg import (
+    CertificateError,
     Subspace,
     enumerate_subspaces,
     f_rational_part,
     flatten_subspace,
+    flatten_vector,
     subspaces_of,
+    unflatten_vector,
 )
 from .minimality import (
     constant_weight_class,
-    dual_criterion_applicable,
     is_r_minimal,
+    is_rank_minimal,
     is_sigma_maximal,
 )
 from .rank_metric import (
@@ -36,6 +44,7 @@ from .rank_metric import (
     chi,
     chi_code,
     column_support,
+    extensions_containing,
     full_support_codeword,
     grw_sequence,
     max_subcode_weight,
@@ -100,12 +109,45 @@ def default_towers() -> List[FieldTower]:
 
 
 # ---------------------------------------------------------------------------
-# Instance generators.
+# Suite harness.
 # ---------------------------------------------------------------------------
+
+
+class _Tally:
+    """The shared instance count and the first counterexample per property."""
+
+    def __init__(self, *names: str):
+        self.names = names
+        self.count = 0
+        self.fails: Dict[str, dict] = {}
+
+    def fail(self, name: str, tower: FieldTower, **payload) -> None:
+        if name not in self.fails:
+            self.fails[name] = {"field": tower.spec_string(), **payload}
+
+    def results(self) -> List[PropertyResult]:
+        return [PropertyResult(nm, nm not in self.fails, self.count,
+                               self.fails.get(nm)) for nm in self.names]
 
 
 def _rng_for(seed: int, suite: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{trial}")
+
+
+def _rngs(seed: int, tag: str, n: int) -> Iterator[random.Random]:
+    """The generators of trials 0 .. max(1, n) - 1 under one suite tag."""
+    for trial in range(max(1, n)):
+        yield _rng_for(seed, tag, trial)
+
+
+def _small_pairs(towers: Sequence[FieldTower]) -> list:
+    """(tower, k) for k in (2, 3) with a flattened E^[k] of F-dimension <= 9."""
+    return [(t, k) for t in towers for k in (2, 3) if k * t.m <= 9]
+
+
+# ---------------------------------------------------------------------------
+# Instance generators.
+# ---------------------------------------------------------------------------
 
 
 def random_code(tower: FieldTower, rng: random.Random,
@@ -149,198 +191,154 @@ def random_esubspace(tower: FieldTower, ambient: int, dim: int,
             return sub
 
 
-def _cx(tower: FieldTower, **payload) -> dict:
-    out = {"field": tower.spec_string()}
-    out.update(payload)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Suite implementations.  Each returns a list of PropertyResult.
 # ---------------------------------------------------------------------------
 
 
 def _suite_field_axioms(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("mul-assoc", "distrib", "inverse")
     for tower in towers:
         add, mul = tower.E.add, tower.E.mul
-        for trial in range(trials):
-            rng = _rng_for(seed, "field-axioms", trial)
+        for rng in _rngs(seed, "field-axioms", trials):
             a, b, c = (rng.randrange(tower.order) for _ in range(3))
-            count += 1
+            tally.count += 1
             checks = {
                 "mul-assoc": mul(a, mul(b, c)) == mul(mul(a, b), c),
                 "distrib": mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
                 "inverse": a == 0 or mul(a, tower.E.inv(a)) == 1,
             }
             for name, ok in checks.items():
-                if not ok and name not in fails:
-                    fails[name] = _cx(tower, a=a, b=b, c=c)
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("mul-assoc", "distrib", "inverse")]
+                if not ok:
+                    tally.fail(name, tower, a=a, b=b, c=c)
+    return tally.results()
 
 
 def _suite_expand_linear(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("linear", "reconstruct")
     for tower in towers:
         E, F = tower.E, tower.F
-        for trial in range(trials):
-            rng = _rng_for(seed, "expand-linear", trial)
+        for rng in _rngs(seed, "expand-linear", trials):
             n = rng.randrange(1, 5)
             a, b = rng.randrange(tower.q), rng.randrange(tower.q)
             al = tuple(rng.randrange(tower.order) for _ in range(n))
             be = tuple(rng.randrange(tower.order) for _ in range(n))
-            count += 1
+            tally.count += 1
             combo = tuple(E.add(E.mul(a, x), E.mul(b, y))
                           for x, y in zip(al, be))
             ma, mb = tower.expand(al), tower.expand(be)
             expect = [
                 [F.add(F.mul(a, ma[i][j]), F.mul(b, mb[i][j]))
                  for j in range(n)] for i in range(tower.m)]
-            if tower.expand(combo) != expect and "linear" not in fails:
-                fails["linear"] = _cx(tower, alpha=list(al), beta=list(be))
-            if tower.reconstruct(tower.expand(al)) != al \
-                    and "reconstruct" not in fails:
-                fails["reconstruct"] = _cx(tower, alpha=list(al))
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("linear", "reconstruct")]
+            if tower.expand(combo) != expect:
+                tally.fail("linear", tower, alpha=list(al), beta=list(be))
+            if tower.reconstruct(tower.expand(al)) != al:
+                tally.fail("reconstruct", tower, alpha=list(al))
+    return tally.results()
 
 
 def _suite_rank_support(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("scalar-invariance", "basis-invariance")
     for tower in towers:
         alt = None
         if tower.q == 2 and tower.m == 2:
             alt = make_field(2, 2, ext_poly=tower.ext_poly, basis=(2, 3))
-        for trial in range(trials):
-            rng = _rng_for(seed, "rank-support", trial)
+        for rng in _rngs(seed, "rank-support", trials):
             n = rng.randrange(1, 5)
             alpha = tuple(rng.randrange(tower.order) for _ in range(n))
             c = rng.randrange(1, tower.order)
-            count += 1
+            tally.count += 1
             scaled = tuple(tower.E.mul(c, x) for x in alpha)
             if rank_support(tower, scaled) != rank_support(tower, alpha):
-                fails.setdefault("scalar-invariance",
-                                 _cx(tower, alpha=list(alpha), c=c))
+                tally.fail("scalar-invariance", tower, alpha=list(alpha), c=c)
             if alt is not None and \
                     rank_support(alt, alpha) != rank_support(tower, alpha):
-                fails.setdefault("basis-invariance",
-                                 _cx(tower, alpha=list(alpha)))
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("scalar-invariance", "basis-invariance")]
+                tally.fail("basis-invariance", tower, alpha=list(alpha))
+    return tally.results()
 
 
 def _suite_lemma21(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("dual-intersection", "weight-from-dual",
+                   "column-span-weight", "subcode-weight-formula")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "lemma21", trial)
+        for rng in _rngs(seed, "lemma21", trials // len(towers)):
             code = random_code(tower, rng)
-            count += 1
+            tally.count += 1
             lhs = f_rational_part(tower, code.as_subspace().dual())
             rhs = chi_code(code).dual()
             if lhs != rhs:
-                fails.setdefault("dual-intersection",
-                                 _cx(tower, code=code.to_json()))
+                tally.fail("dual-intersection", tower, code=code.to_json())
             if weight(code) != code.n - lhs.dim:
-                fails.setdefault("weight-from-dual",
-                                 _cx(tower, code=code.to_json()))
+                tally.fail("weight-from-dual", tower, code=code.to_json())
             u = column_support(code)
             if u.dim != weight(code):
-                fails.setdefault("column-span-weight",
-                                 _cx(tower, code=code.to_json()))
+                tally.fail("column-span-weight", tower, code=code.to_json())
             for b in subcode_spaces(code, 1):
                 try:
                     subcode_weight(code, b, cross_check=True)
                 except AssertionError:
-                    fails.setdefault("subcode-weight-formula",
-                                     _cx(tower, code=code.to_json(),
-                                         b=b.to_json()))
+                    tally.fail("subcode-weight-formula", tower,
+                               code=code.to_json(), b=b.to_json())
                 break
-    names = ("dual-intersection", "weight-from-dual", "column-span-weight",
-             "subcode-weight-formula")
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in names]
+    return tally.results()
 
 
 def _suite_cor21(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("upper", "equality-iff-full", "subcode-dims")
     for tower in towers:
         m = tower.m
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "cor21", trial)
+        for rng in _rngs(seed, "cor21", trials // len(towers)):
             code = random_code(tower, rng)
-            count += 1
+            tally.count += 1
             wtc = weight(code)
             if wtc > m * code.k:
-                fails.setdefault("upper", _cx(tower, code=code.to_json()))
+                tally.fail("upper", tower, code=code.to_json())
             full = column_support(code).dim == m * code.k
             if (wtc == m * code.k) != full:
-                fails.setdefault("equality-iff-full",
-                                 _cx(tower, code=code.to_json()))
+                tally.fail("equality-iff-full", tower, code=code.to_json())
             if wtc == m * code.k:
                 for r in range(code.k + 1):
                     for b in subcode_spaces(code, r):
                         if subcode_weight(code, b) != m * r:
-                            fails.setdefault(
-                                "subcode-dims",
-                                _cx(tower, code=code.to_json(), r=r))
+                            tally.fail("subcode-dims", tower,
+                                       code=code.to_json(), r=r)
                         break
-    names = ("upper", "equality-iff-full", "subcode-dims")
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in names]
+    return tally.results()
 
 
 def _suite_grw_monotone(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("strict")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "grw-monotone", trial)
+        for rng in _rngs(seed, "grw-monotone", trials // len(towers)):
             code = random_code(tower, rng)
-            count += 1
+            tally.count += 1
             seq = grw_sequence(code)
             if not all(a < b for a, b in zip(seq, seq[1:])):
-                fails.setdefault("strict",
-                                 _cx(tower, code=code.to_json(), seq=seq))
-    return [PropertyResult("strict", "strict" not in fails, count,
-                           fails.get("strict"))]
+                tally.fail("strict", tower, code=code.to_json(), seq=seq)
+    return tally.results()
 
 
 def _suite_lemma22(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("full-support")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "lemma22", trial)
+        for rng in _rngs(seed, "lemma22", trials // len(towers)):
             code = random_code(tower, rng, n_max=tower.m, n_min=1)
-            count += 1
+            tally.count += 1
             alpha = full_support_codeword(code)
             if rank_support(tower, alpha) != chi_code(code):
-                fails.setdefault("full-support",
-                                 _cx(tower, code=code.to_json()))
-    return [PropertyResult("full-support", "full-support" not in fails,
-                           count, fails.get("full-support"))]
+                tally.fail("full-support", tower, code=code.to_json())
+    return tally.results()
 
 
 def _suite_cor31(towers, trials, seed):
-    from .minimality import is_rank_minimal
-
-    fails = {}
-    count = 0
+    tally = _Tally("bound", "equality-case")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "cor31", trial)
+        for rng in _rngs(seed, "cor31", trials // len(towers)):
             code = random_code(tower, rng, n_max=4, k_max=2)
             for b in subcode_spaces(code, 1):
                 if not is_rank_minimal(code, b).verdict:
                     continue
-                count += 1
+                tally.count += 1
                 d_code = code.subcode(b)
                 lhs = code.k - 1
                 rhs = weight(code) - chi_code(d_code).dim
@@ -348,14 +346,12 @@ def _suite_cor31(towers, trials, seed):
                 mu_c = support_code(tower, chi_code(code)).as_subspace()
                 eq = mu_d.sum(code.as_subspace()) == mu_c
                 if lhs > rhs:
-                    fails.setdefault("bound", _cx(tower, code=code.to_json(),
-                                                  b=b.to_json()))
+                    tally.fail("bound", tower, code=code.to_json(),
+                               b=b.to_json())
                 if (lhs == rhs) != eq:
-                    fails.setdefault("equality-case",
-                                     _cx(tower, code=code.to_json(),
-                                         b=b.to_json()))
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("bound", "equality-case")]
+                    tally.fail("equality-case", tower, code=code.to_json(),
+                               b=b.to_json())
+    return tally.results()
 
 
 def _eight_conditions(code: RankCode, b: Subspace) -> tuple:
@@ -368,10 +364,7 @@ def _eight_conditions(code: RankCode, b: Subspace) -> tuple:
     def sup_of(sub):
         return chi(tower, [code.codeword(g) for g in sub.rows], code.n)
 
-    from .rank_metric import extensions_containing
-
-    c1 = all(not (target.contains(sup_of(o)) and sup_of(o) != target)
-             for o in subcode_spaces(code, r))
+    c1 = is_rank_minimal(code, b, "definition").verdict
     c3 = all(sup_of(w) != target for w in extensions_containing(code, b))
 
     def sigma_min_in(w_sub):
@@ -403,129 +396,103 @@ def _eight_conditions(code: RankCode, b: Subspace) -> tuple:
 
 
 def _suite_thm32_conditions(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("eight-way")
     for tower in towers:
-        for trial in range(max(1, trials // (len(towers) * 3))):
-            rng = _rng_for(seed, "thm32", trial)
+        for rng in _rngs(seed, "thm32", trials // (len(towers) * 3)):
             code = random_code(tower, rng, n_max=3, k_max=2)
             for b in subcode_spaces(code, 1):
-                count += 1
+                tally.count += 1
                 conds = _eight_conditions(code, b)
                 if len(set(conds)) != 1:
-                    fails.setdefault(
-                        "eight-way",
-                        _cx(tower, code=code.to_json(), b=b.to_json(),
-                            conditions=list(conds)))
-    return [PropertyResult("eight-way", "eight-way" not in fails, count,
-                           fails.get("eight-way"))]
+                    tally.fail("eight-way", tower, code=code.to_json(),
+                               b=b.to_json(), conditions=list(conds))
+    return tally.results()
 
 
 def _suite_cor32(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("restriction")
     for tower in towers[:2]:
-        for trial in range(max(1, trials // 40)):
-            rng = _rng_for(seed, "cor32", trial)
+        for rng in _rngs(seed, "cor32", trials // 40):
             code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
             for r in range(1, code.k):
-                count += 1
+                tally.count += 1
                 mine = is_r_minimal(code, r).verdict
                 for t in range(r + 1, code.k + 1):
                     subs = all(is_r_minimal(code.subcode(bb), r).verdict
                                for bb in subcode_spaces(code, t))
                     if mine != subs:
-                        fails.setdefault(
-                            "restriction",
-                            _cx(tower, code=code.to_json(), r=r, t=t))
-    return [PropertyResult("restriction", "restriction" not in fails, count,
-                           fails.get("restriction"))]
+                        tally.fail("restriction", tower, code=code.to_json(),
+                                   r=r, t=t)
+    return tally.results()
 
 
 def _suite_cor33(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("downward")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "cor33", trial)
+        for rng in _rngs(seed, "cor33", trials // len(towers)):
             code = random_code(tower, rng)
-            count += 1
+            tally.count += 1
             for r in range(1, code.k):
                 if is_r_minimal(code, r).verdict:
                     for s in range(r + 1):
                         if not is_r_minimal(code, s).verdict:
-                            fails.setdefault(
-                                "downward",
-                                _cx(tower, code=code.to_json(), r=r, s=s))
-    return [PropertyResult("downward", "downward" not in fails, count,
-                           fails.get("downward"))]
+                            tally.fail("downward", tower, code=code.to_json(),
+                                       r=r, s=s)
+    return tally.results()
 
 
 def _suite_prop31(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("constant-implies-minimal")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "prop31", trial)
+        for rng in _rngs(seed, "prop31", trials // len(towers)):
             code = random_code(tower, rng)
-            count += 1
+            tally.count += 1
             for r in range(1, code.k):
                 weights = {subcode_weight(code, bb)
                            for bb in subcode_spaces(code, r)}
                 if len(weights) == 1 and not is_r_minimal(code, r).verdict:
-                    fails.setdefault(
-                        "constant-implies-minimal",
-                        _cx(tower, code=code.to_json(), r=r))
-    return [PropertyResult("constant-implies-minimal",
-                           "constant-implies-minimal" not in fails, count,
-                           fails.get("constant-implies-minimal"))]
+                    tally.fail("constant-implies-minimal", tower,
+                               code=code.to_json(), r=r)
+    return tally.results()
 
 
 def _suite_thm41(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("value", "witness")
     for tower in towers:
         m = tower.m
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "thm41", trial)
+        for rng in _rngs(seed, "thm41", trials // len(towers)):
             code = random_code(tower, rng, n_max=4, k_max=4)
-            count += 1
+            tally.count += 1
             for s in range(code.k + 1):
                 val, wit = max_subcode_weight(code, s)
                 if val != min(m * s, weight(code)):
-                    fails.setdefault("value", _cx(tower, code=code.to_json(),
-                                                  s=s, got=val))
+                    tally.fail("value", tower, code=code.to_json(), s=s,
+                               got=val)
                 if chi_code(wit).dim != val or wit.k != s:
-                    fails.setdefault("witness",
-                                     _cx(tower, code=code.to_json(), s=s))
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("value", "witness")]
+                    tally.fail("witness", tower, code=code.to_json(), s=s)
+    return tally.results()
 
 
 def _suite_lemma23(towers, trials, seed):
-    fails = {}
-    count = 0
-    pairs = [(t, k) for t in towers for k in (2, 3)
-             if k * t.m <= 9]
+    tally = _Tally("h-le-t", "parameter-drop", "quotient")
+    pairs = _small_pairs(towers)
     for tower, k in pairs:
-        for trial in range(max(1, trials // (len(pairs) * 4))):
-            rng = _rng_for(seed, f"lemma23:{k}", trial)
+        for rng in _rngs(seed, f"lemma23:{k}", trials // (len(pairs) * 4)):
             j = random_fsubspace(tower, k, rng,
                                  dim=rng.randrange(k, k * tower.m))
             if not is_evasive(tower, k, j, 0, j.dim)[0]:
                 continue
-            count += 1
+            tally.count += 1
             for h in range(1, k + 1):
                 t = h
                 while not is_evasive(tower, k, j, h, t)[0]:
                     t += 1
                 if t < h:
-                    fails.setdefault("h-le-t", _cx(tower, j=j.to_json(), h=h))
+                    tally.fail("h-le-t", tower, j=j.to_json(), h=h)
                 for s in range(h + 1):
                     if not is_evasive(tower, k, j, h - s, t - s)[0]:
-                        fails.setdefault("parameter-drop",
-                                         _cx(tower, j=j.to_json(),
-                                             h=h, t=t, s=s))
+                        tally.fail("parameter-drop", tower, j=j.to_json(),
+                                   h=h, t=t, s=s)
             # quotient property on a random E-subspace
             b = rng.randrange(1, k + 1)
             w = b
@@ -537,16 +504,12 @@ def _suite_lemma23(towers, trials, seed):
             proj = _project_mod(tower, k, j, asub)
             if a_dim and not is_evasive(tower, k - a_dim, proj,
                                         b - a_dim, w - v)[0]:
-                fails.setdefault("quotient",
-                                 _cx(tower, j=j.to_json(), a=asub.to_json(),
-                                     b=b, w=w))
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("h-le-t", "parameter-drop", "quotient")]
+                tally.fail("quotient", tower, j=j.to_json(),
+                           a=asub.to_json(), b=b, w=w)
+    return tally.results()
 
 
 def _project_mod(tower, k, fsub, asub):
-    from .linalg import flatten_vector, unflatten_vector
-
     comp = [j for j in range(k) if j not in asub.pivots]
     vecs = []
     for row in fsub.rows:
@@ -557,138 +520,111 @@ def _project_mod(tower, k, fsub, asub):
 
 
 def _suite_prop42(towers, trials, seed):
-    fails = {}
-    count = 0
-    pairs = [(t, k) for t in towers for k in (2, 3) if k * t.m <= 9]
+    tally = _Tally("lower-bound")
+    pairs = _small_pairs(towers)
     for tower, k in pairs:
         m = tower.m
-        for trial in range(max(1, trials // (len(pairs) * 2))):
-            rng = _rng_for(seed, f"prop42:{k}", trial)
+        for rng in _rngs(seed, f"prop42:{k}", trials // (len(pairs) * 2)):
             s = rng.randrange(0, k + 1)
             dim = min(k * m, k * (m - 1) + s)
             b = random_fsubspace(tower, k, rng, dim=dim)
-            count += 1
+            tally.count += 1
             if linearity_index(tower, k, b) < s:
-                fails.setdefault("lower-bound",
-                                 _cx(tower, b=b.to_json(), s=s))
-    return [PropertyResult("lower-bound", "lower-bound" not in fails, count,
-                           fails.get("lower-bound"))]
+                tally.fail("lower-bound", tower, b=b.to_json(), s=s)
+    return tally.results()
 
 
 def _suite_cor42(towers, trials, seed):
-    fails = {}
-    count = 0
-    pairs = [(t, k) for t in towers for k in (2, 3) if k * t.m <= 9]
+    tally = _Tally("big-dim-cuts", "codim-m-case", "cutting-dim-bound")
+    pairs = _small_pairs(towers)
     for tower, k in pairs:
         m = tower.m
-        for trial in range(max(1, trials // (len(pairs) * 2))):
-            rng = _rng_for(seed, f"cor42:{k}", trial)
+        for rng in _rngs(seed, f"cor42:{k}", trials // (len(pairs) * 2)):
             a = random_fsubspace(tower, k, rng)
-            count += 1
+            tally.count += 1
             lidx = linearity_index(tower, k, a)
             for r in range(k):
                 cut = is_cutting(tower, k, a, r).verdict
                 if a.dim >= (k - 1) * m + 1 and not cut:
-                    fails.setdefault("big-dim-cuts",
-                                     _cx(tower, a=a.to_json(), r=r))
+                    tally.fail("big-dim-cuts", tower, a=a.to_json(), r=r)
                 if a.dim == (k - 1) * m and cut != (lidx <= k - r - 2):
-                    fails.setdefault("codim-m-case",
-                                     _cx(tower, a=a.to_json(), r=r))
+                    tally.fail("codim-m-case", tower, a=a.to_json(), r=r)
                 if cut:
                     s = min(k - r - 1, lidx)
                     if a.dim < (m - 1) * (r + s) + k:
-                        fails.setdefault("cutting-dim-bound",
-                                         _cx(tower, a=a.to_json(), r=r))
-    names = ("big-dim-cuts", "codim-m-case", "cutting-dim-bound")
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in names]
+                        tally.fail("cutting-dim-bound", tower,
+                                   a=a.to_json(), r=r)
+    return tally.results()
 
 
 def _suite_thm46(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("three-way")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "thm46", trial)
+        for rng in _rngs(seed, "thm46", trials // len(towers)):
             code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
             for r in range(1, code.k):
-                count += 1
+                tally.count += 1
                 try:
                     constant_weight_class(code, r)
                 except AssertionError:
-                    fails.setdefault("three-way",
-                                     _cx(tower, code=code.to_json(), r=r))
-    return [PropertyResult("three-way", "three-way" not in fails, count,
-                           fails.get("three-way"))]
+                    tally.fail("three-way", tower, code=code.to_json(), r=r)
+    return tally.results()
 
 
 def _suite_cutting_threeway(towers, trials, seed):
-    fails = {}
-    count = 0
-    pairs = [(t, k) for t in towers for k in (2, 3) if k * t.m <= 9]
+    tally = _Tally("three-way")
+    pairs = _small_pairs(towers)
     for tower, k in pairs:
-        for trial in range(max(1, trials // (len(pairs) * 2))):
-            rng = _rng_for(seed, f"cutting3:{k}", trial)
+        for rng in _rngs(seed, f"cutting3:{k}", trials // (len(pairs) * 2)):
             s = random_fsubspace(tower, k, rng)
             for r in range(k):
-                count += 1
-                verdicts = {
-                    is_cutting(tower, k, s, r, route=rt).verdict
-                    for rt in ("definition", "prop21", "evasive")}
-                if len(verdicts) != 1:
-                    fails.setdefault(
-                        "three-way",
-                        {**_cx(tower, s=s.to_json(), r=r),
-                         "recheck": ["cutting", "--field",
-                                     tower.spec_string(), "--r", str(r),
-                                     "--route", "all"]})
-    return [PropertyResult("three-way", "three-way" not in fails, count,
-                           fails.get("three-way"))]
+                tally.count += 1
+                try:
+                    is_cutting(tower, k, s, r, route="all")
+                except CertificateError as exc:
+                    tally.fail("three-way", tower, s=s.to_json(), r=r,
+                               error=str(exc),
+                               recheck=["cutting", "--field",
+                                        tower.spec_string(), "--subspace",
+                                        json.dumps(s.to_json(),
+                                                   sort_keys=True),
+                                        "--r", str(r), "--route", "all"])
+    return tally.results()
 
 
 def _suite_criteria_agreement(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("four-way")
     for tower in towers:
-        for trial in range(max(1, trials // len(towers))):
-            rng = _rng_for(seed, "criteria", trial)
+        for rng in _rngs(seed, "criteria", trials // len(towers)):
             code = random_code(tower, rng, n_max=4, k_max=4)
             for r in range(1, code.k):
-                count += 1
-                methods = ["grw", "cutting", "definition"]
-                if dual_criterion_applicable(code, r):
-                    methods.append("dual")
-                verdicts = {mth: is_r_minimal(code, r, mth).verdict
-                            for mth in methods}
-                if len(set(verdicts.values())) != 1:
-                    fails.setdefault(
-                        "four-way",
-                        {**_cx(tower, code=code.to_json(), r=r),
-                         "verdicts": verdicts,
-                         "recheck": ["minimal", "--field",
-                                     tower.spec_string(), "--r", str(r),
-                                     "--method", "all"]})
-    return [PropertyResult("four-way", "four-way" not in fails, count,
-                           fails.get("four-way"))]
+                tally.count += 1
+                try:
+                    is_r_minimal(code, r, "all")
+                except CertificateError as exc:
+                    tally.fail("four-way", tower, code=code.to_json(), r=r,
+                               error=str(exc),
+                               recheck=["minimal", "--field",
+                                        tower.spec_string(), "--code",
+                                        json.dumps(code.to_json(),
+                                                   sort_keys=True),
+                                        "--r", str(r), "--method", "all"])
+    return tally.results()
 
 
 def _suite_maximality(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("equivalence")
     for tower in towers[:2]:
-        for trial in range(max(1, trials // 30)):
-            rng = _rng_for(seed, "maximality", trial)
+        for rng in _rngs(seed, "maximality", trials // 30):
             code = random_code(tower, rng, n_max=4, k_max=2)
             for r in range(1, code.k):
-                count += 1
+                tally.count += 1
                 rmin = is_r_minimal(code, r).verdict
                 allmax = all(is_sigma_maximal(code, bb)
                              for bb in subcode_spaces(code, r))
                 if rmin != allmax:
-                    fails.setdefault("equivalence",
-                                     _cx(tower, code=code.to_json(), r=r))
-    return [PropertyResult("equivalence", "equivalence" not in fails, count,
-                           fails.get("equivalence"))]
+                    tally.fail("equivalence", tower, code=code.to_json(), r=r)
+    return tally.results()
 
 
 def _suite_weierstrass(towers, trials, seed):
@@ -711,28 +647,26 @@ def _suite_weierstrass(towers, trials, seed):
 
 
 def _suite_counting(towers, trials, seed):
-    fails = {}
-    count = 0
+    tally = _Tally("enumeration", "pascal")
     gf2 = make_field(2, 1)
     gf3 = make_field(3, 1)
     for q, tower, n_cap in ((2, gf2, 7), (3, gf3, 4)):
         for n in range(n_cap + 1):
             for d in range(n + 1):
-                count += 1
+                tally.count += 1
                 got = sum(1 for _ in enumerate_subspaces(tower, "F", n, d))
                 if got != comb.qbinom(q, n, d):
-                    fails.setdefault("enumeration",
-                                     {"q": q, "n": n, "d": d, "got": got})
+                    tally.fails.setdefault(
+                        "enumeration", {"q": q, "n": n, "d": d, "got": got})
     for q in (2, 3, 5):
         for n in range(1, 8):
             for r in range(1, n + 1):
-                count += 1
+                tally.count += 1
                 lhs = comb.qbinom(q, n, r) * (q**r - 1)
                 rhs = comb.qbinom(q, n - 1, r - 1) * (q**n - 1)
                 if lhs != rhs:
-                    fails.setdefault("pascal", {"q": q, "n": n, "r": r})
-    return [PropertyResult(nm, nm not in fails, count, fails.get(nm))
-            for nm in ("enumeration", "pascal")]
+                    tally.fails.setdefault("pascal", {"q": q, "n": n, "r": r})
+    return tally.results()
 
 
 def _suite_empty(towers, trials, seed):

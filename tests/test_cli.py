@@ -176,6 +176,12 @@ def _cutting(sub_obj):
             "--subspace", json.dumps(sub_obj)]
 
 
+def _scan_shard(shards, index):
+    return ["omega", "--field", GF4, "--k", "2", "--r", "1", "--scan-dim",
+            "3", "--shards", str(shards), "--shard-index", str(index),
+            "--threads", "1"]
+
+
 F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
 
 
@@ -193,6 +199,9 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
     _cutting(dict(F_SUB, ambient=None)),                   # ambient not int
     _cutting(dict(F_SUB, rref_basis=[[1, 0, 2, 0]])),      # element >= |F|
     _cutting(dict(F_SUB, rref_basis=[[1, 0]])),            # short row
+    _scan_shard(4, 7),                                     # index past last
+    _scan_shard(4, -1),                                    # negative index
+    _scan_shard(0, 0),                                     # no shards
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
