@@ -4,7 +4,8 @@ Codes and subspaces are passed as JSON (inline, from a file, or ``-`` for
 stdin); results print as text or, with ``--json``, as machine-readable
 JSON (sorted keys, so identical argv and seed give byte-identical output).
 Exit codes: 0 success, 1 false verdict under ``--strict``, 2 usage error,
-3 budget exceeded.
+3 budget exceeded, 4 failed check (a ``CertificateError``: cross-checked
+routes disagree, or a certified answer failed re-verification).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .combinatorics import (
 )
 from .fields import BadBasis, FieldTower, NonIrreducible, parse_field_spec
 from .geometry import PreconditionViolated, is_cutting, is_evasive, linearity_index
-from .linalg import Subspace
+from .linalg import CertificateError, Subspace
 from .minimality import (
     MethodInapplicable,
     is_r_minimal,
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CHECK = 4
 
 
 class UsageError(ValueError):
@@ -490,6 +492,9 @@ def run_command(argv: Sequence[str]) -> int:
             json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 def main() -> None:

@@ -334,7 +334,7 @@ def _search_omega_sequence(m: int, k: int, r: int, w: int,
         return lhs >= rhs
 
     def final_ok(total: int) -> bool:
-        if k < r + 1 + total or (m - 1) * (k - r) < w:
+        if k < r + 1 + total:
             return False
         lhs = k * k - (2 * r - m * (r - 1) + total - w) * k
         rhs = (total + r) * ((m - 1) * r + w) + 1

@@ -95,10 +95,6 @@ def pack_gf2(row: Sequence[int]) -> int:
     return x
 
 
-def unpack_gf2(x: int, ncols: int) -> Tuple[int, ...]:
-    return tuple((x >> i) & 1 for i in range(ncols))
-
-
 def rank_gf2(rows: Iterable[int]) -> int:
     basis = {}  # lowest set bit -> reduced row with that pivot
     for v in rows:

@@ -7,11 +7,11 @@ dimension d plus an exhaustion record at d-1; the d-1 sweep always runs,
 even when the rule interval is already a point, so the value never rests
 on the closed-form bounds alone.
 
-Over GF(2) towers the cutting test for the common case h = k-r-1 = 1 runs
-on bit-packed rows: every nonzero vector of F^(km) lies on exactly one
-E-line, so a candidate fails as soon as some line has seen more than
-2^t - 1 of its span elements.  Everything else goes through the generic
-deciders.
+For h = k-r-1 = 1 the cutting test runs on packed rows over every tower
+GF(p^(em))/GF(p^e) whose F^(km) fits a line table: every nonzero vector
+of F^(km) lies on exactly one E-line, so a candidate fails as soon as
+some line has seen more than q^t - 1 of its span elements.  Everything
+else goes through the generic deciders.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -29,10 +29,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import (
     CountReport,
@@ -41,7 +42,7 @@ from .combinatorics import (
     omega_bounds,
     qbinom,
 )
-from .fields import FieldTower, int_to_digits
+from .fields import FieldTower, digits_to_int, int_to_digits
 from .geometry import is_cutting, is_evasive
 from .linalg import (
     ENUM_ORDER_TAG,
@@ -51,7 +52,6 @@ from .linalg import (
     espan_of_flat,
     free_cells,
     rref_from_fill,
-    unpack_gf2,
 )
 from .rank_metric import RankCode, weight
 
@@ -133,41 +133,64 @@ class OmegaResult:
 
 
 # ---------------------------------------------------------------------------
-# E-line tables for the GF(2) fast path.
+# E-line tables for the h = 1 line kernel.
 # ---------------------------------------------------------------------------
+
+# Largest |F^(km)| = q^(km) that a line table indexes; larger towers scan
+# with the generic kernel.  For p = 2 the table is a list of one pointer a
+# vector; for odd p it is a dict of about 85 bytes a vector, about 160 MB
+# at 5^9 vectors.
+_LINE_TABLE_LIMIT = 1 << 22
 
 
 class _LineTable:
-    """Per-(tower, k) lookup: packed nonzero F-vector -> E-line id."""
+    """Per-(tower, k) lookup: packed nonzero vector of F^(km) -> E-line id.
+
+    A vector packs its GF(p)-digits, e per F-coordinate in ascending order,
+    into slots of ``width`` bits.  For p = 2 a slot is one bit, vector
+    addition is XOR and the packed vectors are exactly 0 .. 2^(kme) - 1, so
+    the table is a list.  For odd p a slot keeps one spare bit above the
+    digit for the carry of a slot-wise mod-p add, and the table is a dict.
+    """
 
     def __init__(self, tower: FieldTower, k: int):
-        assert tower.q == 2
-        m = tower.m
-        n_flat = k * m
-        assert n_flat <= 22, "line table would be too large"
-        comp_mask = (1 << m) - 1
-        # packed m-bit group -> E element (basis coordinates -> element)
-        elem_of = [tower.from_coords(int_to_digits(b, 2, m))
-                   for b in range(1 << m)]
-        coords_of = {}
-        for b in range(1 << m):
-            coords_of[elem_of[b]] = b
-        line_of = [0] * (1 << n_flat)
-        reps: Dict[int, int] = {}
-        for v in range(1, 1 << n_flat):
-            comps = [elem_of[(v >> (j * m)) & comp_mask] for j in range(k)]
-            lead = next(c for c in comps if c)
-            inv = tower.E.inv(lead)
-            canon = 0
-            for j, c in enumerate(comps):
-                canon |= coords_of[tower.E.mul(inv, c)] << (j * m)
-            lid = reps.setdefault(canon, len(reps))
-            line_of[v] = lid
-        self.line_of = line_of
-        self.num_lines = len(reps)
-        self.k = k
-        self.m = m
         self.tower = tower
+        self.k = k
+        self.width = 1 if tower.p == 2 else (tower.p - 1).bit_length() + 1
+        shift = tower.m * tower.e * self.width      # bits per E-component
+        comp = [self.pack(tower.to_coords(x)) for x in range(tower.order)]
+        line_of = [0] * (1 << k * shift) if tower.p == 2 else {}
+        # every line once, through its representative with leading entry 1
+        num_lines = 0
+        for lead in range(k):
+            for tail in itertools.product(range(tower.order),
+                                          repeat=k - 1 - lead):
+                for lam in range(1, tower.order):
+                    v = comp[lam] << (lead * shift)
+                    for j, x in enumerate(tail, lead + 1):
+                        v |= comp[tower.E.mul(lam, x)] << (j * shift)
+                    line_of[v] = num_lines
+                num_lines += 1
+        self.line_of = line_of
+        self.num_lines = num_lines
+
+    def pack(self, coords: Sequence[int], first: int = 0) -> int:
+        """F-coordinates, placed from column ``first`` on, as a packed int."""
+        p, e, w = self.tower.p, self.tower.e, self.width
+        v = 0
+        for c, a in enumerate(coords, first):
+            for i, dgt in enumerate(int_to_digits(a, p, e)):
+                v |= dgt << (w * (c * e + i))
+        return v
+
+    def unpack(self, v: int, ncols: int) -> Tuple[int, ...]:
+        """The first ``ncols`` F-coordinates of a packed int."""
+        p, e, w = self.tower.p, self.tower.e, self.width
+        mask = (1 << w) - 1
+        return tuple(
+            digits_to_int([(v >> (w * (c * e + i))) & mask
+                           for i in range(e)], p)
+            for c in range(ncols))
 
 
 _LINE_TABLES: Dict[Tuple[FieldTower, int], _LineTable] = {}
@@ -185,101 +208,131 @@ def _line_table(tower: FieldTower, k: int) -> _LineTable:
 # ---------------------------------------------------------------------------
 
 
-def _unit_list(ambient: int, d: int, order: int,
-               shards: int = 1, shard_index: int = 0,
-               ) -> List[Tuple[int, Tuple[int, ...], int, int]]:
-    """Work units (unit_id, pivots, fill_lo, fill_hi) in enumeration order.
+def _units(ambient: int, d: int, order: int,
+           shards: int = 1, shard_index: int = 0,
+           ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    """Work units (pivots, fill_lo, fill_hi) in enumeration order, made
+    lazily, so a budget or a shard never waits for the whole list.
 
     Sharding keeps contiguous pivot-set index ranges together so external
     orchestration can split by ``--shards``/``--shard-index``.
     """
-    pivot_sets = list(itertools.combinations(range(ambient), d))
-    per = (len(pivot_sets) + shards - 1) // shards
-    chosen = list(enumerate(pivot_sets))[shard_index * per:
-                                         (shard_index + 1) * per]
-    units = []
-    uid = 0
-    for pidx, pivots in chosen:
+    per = -(-math.comb(ambient, d) // shards)
+    for pivots in itertools.islice(itertools.combinations(range(ambient), d),
+                                   shard_index * per, (shard_index + 1) * per):
         nfill = order ** len(free_cells(pivots, ambient))
-        lo = 0
-        while lo < nfill:
-            hi = min(lo + _FILL_CHUNK, nfill)
-            units.append((uid, pivots, lo, hi))
-            uid += 1
-            lo = hi
-    return units
+        for lo in range(0, nfill, _FILL_CHUNK):
+            yield pivots, lo, min(lo + _FILL_CHUNK, nfill)
 
 
-def _scan_unit_q2_h1(table: _LineTable, r: int, d: int,
-                     pivots: Tuple[int, ...], lo: int, hi: int,
-                     stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
-    """Scan one unit with the E-line histogram test (h = 1).
+def _scan_unit_line(table: _LineTable, r: int, d: int,
+                    pivots: Tuple[int, ...], lo: int, hi: int,
+                    stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
+    """Scan one unit with the E-line test (h = k - r - 1 = 1).
+
+    S is cutting iff <S>_E = E^k and no E-line holds more than q^t - 1
+    nonzero elements of S, t = d - mr - 1.  The nonzero elements are walked
+    in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
+    (beta_j = x^j, a GF(p)-basis of F): step i adds generator v_p(i), so
+    each element costs one vector add and one line lookup.
 
     Returns (visited, witness rows or None).
     """
-    ambient = table.k * table.m
-    m = table.m
+    tower = table.tower
+    p, e, m, q = tower.p, tower.e, tower.m, tower.q
+    ambient = table.k * m
     t = d - m * r - 1
+    if t <= 0:
+        # too small to cut: for t = 0 a line through any nonzero element
+        # of S already holds more than q^0 - 1 = 0 of them
+        return hi - lo, None
+    # A row is held as its e scalings beta_j * row side by side, block j
+    # from bit j * block on.  Every slot holds exactly one digit, so
+    # changing a cell's value is a plain integer add.
+    block = table.width * ambient * e
+
+    def scaled(col: int, a: int) -> int:
+        return sum(table.pack((tower.F.mul(p ** j, a),), col) << (j * block)
+                   for j in range(e))
+
     cells = free_cells(pivots, ambient)
     cell_row = [rc[0] for rc in cells]
-    cell_bit = [1 << rc[1] for rc in cells]
-    nfree = len(cells)
-    rows = [1 << p for p in pivots]
-    x = lo
-    digits = [0] * nfree
-    for j in range(nfree):
-        x, dgt = divmod(x, 2)
-        digits[j] = dgt
-        if dgt:
-            rows[cell_row[j]] |= cell_bit[j]
-    if t < 0:
-        # dimension too small to cut; nothing to test candidate-by-candidate
-        return hi - lo, None
-    cap = (1 << t) - 1
+    val = [[scaled(c, a) for a in range(q)] for _, c in cells]
+    step = [[v[a + 1] - v[a] for a in range(q - 1)] for v in val]
+    digits = list(int_to_digits(lo, q, len(cells)))
+    rows = [scaled(c, 1) for c in pivots]
+    for j, a in enumerate(digits):
+        rows[cell_row[j]] += val[j][a]
+    gens = rows                      # for e > 1, refreshed per candidate
+    split = [j * block for j in range(e)]
+    low_block = (1 << block) - 1
+    walk = []
+    for i in range(1, p ** (d * e)):
+        j = 0
+        while i % p == 0:
+            i //= p
+            j += 1
+        walk.append(j)
+    # slot-wise mod-p add for odd p: s = u + g; u = s - p * (slots >= p)
+    top_bit = table.width - 1
+    ones = sum(1 << (table.width * s) for s in range(ambient * e))
+    carry = ((1 << top_bit) - p) * ones
+    cap = q ** t - 1
+    vacuous = t >= m                 # cap >= q^m - 1, all of a line
     line_of = table.line_of
-    num_lines = table.num_lines
-    vacuous = cap >= (1 << m) - 1
-    ctz = [0] * (1 << d)
-    for i in range(1, 1 << d):
-        ctz[i] = (i & -i).bit_length() - 1
-    stamp = [0] * num_lines
-    cnt = [0] * num_lines
-    tag = 0
+    # seen[line] is base + (hits - 1) once the current candidate has hit
+    # the line, and below base otherwise
+    seen = [0] * table.num_lines
+    base = 0
+    last = q - 1
     visited = 0
     witness = None
-    span_size = 1 << d
     for fill in range(lo, hi):
         if fill != lo:
             j = 0
-            while digits[j]:
+            while digits[j] == last:
                 digits[j] = 0
-                rows[cell_row[j]] ^= cell_bit[j]
+                rows[cell_row[j]] -= val[j][last]
                 j += 1
-            digits[j] = 1
-            rows[cell_row[j]] ^= cell_bit[j]
+            a = digits[j]
+            digits[j] = a + 1
+            rows[cell_row[j]] += step[j][a]
         visited += 1
         ok = True
         if not vacuous:
-            tag += 1
+            if e > 1:
+                gens = [(w >> sh) & low_block for w in rows for sh in split]
+            base += cap
+            full = base + cap - 1
             v = 0
-            if cap == 0:
-                ok = d == 0
-            else:
-                for i in range(1, span_size):
-                    v ^= rows[ctz[i]]
+            if p == 2:
+                for g in walk:
+                    v ^= gens[g]
                     lid = line_of[v]
-                    if stamp[lid] != tag:
-                        stamp[lid] = tag
-                        cnt[lid] = 1
+                    c = seen[lid]
+                    if c < base:
+                        seen[lid] = base
+                    elif c == full:
+                        ok = False
+                        break
                     else:
-                        c = cnt[lid] + 1
-                        if c > cap:
-                            ok = False
-                            break
-                        cnt[lid] = c
+                        seen[lid] = c + 1
+            else:
+                for g in walk:
+                    s = v + gens[g]
+                    v = s - p * (((s + carry) >> top_bit) & ones)
+                    lid = line_of[v]
+                    c = seen[lid]
+                    if c < base:
+                        seen[lid] = base
+                    elif c == full:
+                        ok = False
+                        break
+                    else:
+                        seen[lid] = c + 1
         if ok and witness is None:
-            flat = tuple(unpack_gf2(rw, ambient) for rw in rows)
-            sub = Subspace(table.tower, "F", ambient, flat, pivots)
+            flat = tuple(table.unpack(w, ambient) for w in rows)
+            sub = Subspace(tower, "F", ambient, flat, pivots)
             if espan_of_flat(sub).dim == table.k:
                 witness = flat
                 if stop_at_first:
@@ -307,14 +360,21 @@ def _scan_unit_generic(tower: FieldTower, k: int, r: int, d: int,
     return visited, witness
 
 
+def scan_kernel(tower: FieldTower, k: int, r: int) -> str:
+    """The kernel scan_dimension runs for (tower, k, r): ``"line"`` when
+    h = k - r - 1 = 1 and F^(km) fits a line table, else ``"generic"``."""
+    if k - r - 1 == 1 and tower.q ** (k * tower.m) <= _LINE_TABLE_LIMIT:
+        return "line"
+    return "generic"
+
+
 # The unit worker of the running scan, (pivots, lo, hi) -> (visited, witness
 # rows or None).  It is set before the pool forks, so workers inherit it.
 _UNIT_WORKER: Optional[Callable] = None
 
 
 def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
-    _, pivots, lo, hi = unit
-    return _UNIT_WORKER(pivots, lo, hi)
+    return _UNIT_WORKER(*unit)
 
 
 def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
@@ -328,10 +388,12 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
         raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
                          f"got shards={shards}, shard_index={shard_index}")
     ambient = k * tower.m
-    units = _unit_list(ambient, d, tower.q, shards, shard_index)
-    if tower.q == 2 and k - r - 1 == 1:
+    units = _units(ambient, d, tower.q, shards, shard_index)
+    head = list(itertools.islice(units, 2))
+    units = itertools.chain(head, units)
+    if scan_kernel(tower, k, r) == "line":
         _UNIT_WORKER = functools.partial(
-            _scan_unit_q2_h1, _line_table(tower, k), r, d,
+            _scan_unit_line, _line_table(tower, k), r, d,
             stop_at_first=stop_at_first)
     else:
         _UNIT_WORKER = functools.partial(
@@ -339,7 +401,7 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
     visited_total = 0
     witness: Optional[Subspace] = None
     with contextlib.ExitStack() as stack:
-        if threads > 1 and len(units) > 1:
+        if threads > 1 and len(head) > 1:
             pool = stack.enter_context(
                 multiprocessing.get_context("fork").Pool(threads))
             results = pool.imap(_run_unit, units, chunksize=1)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rankmin.cli import run_command
+from rankmin import geometry, search
+from rankmin.cli import EXIT_CHECK, run_command
 
 GF4 = "p=2,e=1,m=2,ext=1,1,1"
 GF8 = "p=2,e=1,m=3,ext=1,1,0,1"
@@ -80,6 +81,39 @@ def test_cutting_and_linearity_commands(capsys):
     code, out, _ = run(capsys, "linearity", "--field", GF4,
                        "--subspace", sub)
     assert code == 0 and out.strip() == "1"
+
+
+def test_failed_check_exits_4(capsys, monkeypatch):
+    real_cutting = geometry.is_cutting
+
+    def lying_cutting(tower, k, s, r, route="evasive"):
+        verdict = real_cutting(tower, k, s, r, route)
+        if route == "prop21":
+            verdict.verdict = not verdict.verdict
+        return verdict
+
+    monkeypatch.setattr(geometry, "is_cutting", lying_cutting)
+    sub = json.dumps({"level": "F", "ambient": 4, "dim": 3,
+                      "rref_basis": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                     [0, 0, 1, 0]]})
+    code, out, err = run(capsys, "cutting", "--field", GF4, "--subspace",
+                         sub, "--r", "1", "--route", "all", "--json")
+    assert code == EXIT_CHECK == 4 and out == ""
+    assert err.startswith("error: cutting routes disagree")
+
+
+def test_line_table_too_large_scans_generic(capsys, monkeypatch):
+    # |F^(km)| = 2^24 exceeds the line-table limit: the h = 1 scan runs the
+    # generic kernel instead of building the table
+    def no_table(tower, k):
+        raise AssertionError("line table built")
+
+    monkeypatch.setattr(search, "_line_table", no_table)
+    code, out, _ = run(capsys, "omega", "--field", "p=2,e=1,m=8", "--k", "3",
+                       "--r", "1", "--scan-dim", "1", "--shards", "24",
+                       "--shard-index", "23", "--threads", "1", "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["visited"] == 1 and obj["witness"] is None
 
 
 def test_evasive_command(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -7,13 +8,15 @@ import textwrap
 import pytest
 
 import rankmin
+from rankmin import search, suites
 from rankmin.combinatorics import qbinom
 from rankmin.fields import make_field
 from rankmin.geometry import is_cutting, is_evasive
-from rankmin.linalg import Subspace, enumerate_subspaces
+from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
+                            rref_from_fill)
 from rankmin.search import (
     BudgetExceeded,
-    _unit_list,
+    _units,
     census_codes,
     max_evasive_dim,
     omega_exhaustive,
@@ -23,6 +26,7 @@ from rankmin.search import (
 GF4 = make_field(2, 2, ext_poly=(1, 1, 1))
 GF8 = make_field(2, 3, ext_poly=(1, 1, 0, 1))
 GF9 = make_field(3, 2)
+GF16_OVER_GF4 = make_field(2, 2, e=2)
 
 
 def test_omega_small_cases():
@@ -82,8 +86,11 @@ def test_scan_dimension_counts_and_shards():
     (GF9, 2, 1, 3, True, 1, 0, True),            # generic kernel, q = 3
     (GF4, 3, 1, 5, False, 2, 0, True),           # every unit, sharded
     (make_field(2, 3, basis=[1, 3, 7]), 3, 1, 6, True, 1, 0, True),
+    (GF9, 3, 1, 4, True, 8, 1, False),           # line kernel, p = 3
+    (GF16_OVER_GF4, 3, 1, 5, True, 1, 0, True),  # line kernel, e = 2
 ], ids=["generic-gf8", "q2-line-d5-shard", "q2-line-d6", "generic-gf9",
-        "no-stop-sharded", "custom-basis"])
+        "no-stop-sharded", "custom-basis", "line-gf9",
+        "line-gf16-over-gf4"])
 def test_scan_dimension_threads_deterministic(tower, k, r, d, stop, shards,
                                               index, found):
     a, b = (scan_dimension(tower, k, r, d, stop_at_first=stop,
@@ -95,9 +102,9 @@ def test_scan_dimension_threads_deterministic(tower, k, r, d, stop, shards,
 
 
 def test_unit_list_partitions_exactly():
-    units = _unit_list(6, 3, 2)
+    units = _units(6, 3, 2)
     seen = {}
-    for _, pivots, lo, hi in units:
+    for pivots, lo, hi in units:
         seen.setdefault(pivots, []).append((lo, hi))
     count = 0
     for pivots, ranges in seen.items():
@@ -107,6 +114,76 @@ def test_unit_list_partitions_exactly():
             assert ahi == blo
         count += sum(hi - lo for lo, hi in ranges)
     assert count == qbinom(2, 6, 3)
+
+
+def test_units_are_lazy():
+    # 2^44 fills on the first pivot set alone: the first units come at once
+    units = _units(24, 2, 2, shards=1000, shard_index=0)
+    assert list(itertools.islice(units, 2)) == [
+        ((0, 1), 0, 1 << 16), ((0, 1), 1 << 16, 2 << 16)]
+
+
+def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
+    """Run the line kernel over a sample of candidates, resuming after each
+    witness, and compare every verdict with the definition route.
+    Returns the number of cutting candidates seen."""
+    table = search._line_table(tower, k)
+    ambient = k * tower.m
+    cutting = 0
+    pivot_sets = itertools.combinations(range(ambient), d)
+    for pivots in itertools.islice(pivot_sets, 0, None, pivot_step):
+        cells = free_cells(pivots, ambient)
+        x, hi = 0, min(tower.q ** len(cells), per_pivot_set)
+        while x < hi:
+            visited, rows = search._scan_unit_line(table, r, d, pivots, x, hi,
+                                                   stop_at_first=True)
+            assert visited == hi - x or rows is not None
+            for fill in range(x, x + visited):
+                sub = Subspace(tower, "F", ambient, tuple(
+                    map(tuple, rref_from_fill(pivots, ambient, cells, fill,
+                                              tower.q))), pivots)
+                found = rows is not None and fill == x + visited - 1
+                assert is_cutting(tower, k, sub, r,
+                                  route="definition").verdict == found
+                if found:
+                    assert rows == sub.rows
+                    cutting += 1
+            x += visited
+    return cutting
+
+
+@pytest.mark.parametrize("tower", suites.default_towers() + [
+    GF16_OVER_GF4, make_field(5, 2), make_field(3, 2, e=2),
+    make_field(2, 3, basis=[1, 3, 7]), make_field(3, 2, basis=[2, 4])],
+    ids=["gf4", "gf8", "gf9", "gf16-over-gf4", "gf25", "gf81-over-gf9",
+         "gf8-basis", "gf9-basis"])
+def test_line_kernel_agrees_with_definition(tower):
+    m, q = tower.m, tower.q
+    cutting = 0
+    # k = 2, r = 0: t = d - 1 runs from t < 0 (d = 0) to t >= m (d = 2m)
+    for d in range(2 * m + 1):
+        cutting += _check_line_kernel(tower, 2, 0, d, 12, 1)
+    # k = 3, r = 1: t = d - m - 1 < 0, = 0 (spanning candidates exist),
+    # in (0, m) and >= m
+    if q ** (3 * m) <= 1024:
+        for d in (m, m + 1, 2 * m, 2 * m + 1, 3 * m):
+            cutting += _check_line_kernel(tower, 3, 1, d, 2, 7)
+    assert cutting > 0
+
+
+def test_scan_kernel_choice():
+    assert search.scan_kernel(GF9, 3, 1) == "line"
+    assert search.scan_kernel(GF16_OVER_GF4, 2, 0) == "line"
+    assert search.scan_kernel(GF9, 4, 1) == "generic"          # h = 2
+    # 2^24 vectors of F^(km) exceed the line-table limit
+    assert search.scan_kernel(make_field(2, 8), 3, 1) == "generic"
+
+
+def test_omega_gf9_k3_r1_line_kernel():
+    res = omega_exhaustive(GF9, 3, 1)
+    assert res.value == 5
+    assert res.exhaustion_certificate.exhaustion["total_visited"] == \
+        qbinom(3, 6, 4) == 11011
 
 
 def test_budget_exceeded_brackets():

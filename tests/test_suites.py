@@ -3,9 +3,8 @@ import json
 import pytest
 
 from rankmin import geometry, minimality, suites
-from rankmin.cli import build_parser, run_command
+from rankmin.cli import EXIT_CHECK, build_parser, run_command
 from rankmin.fields import make_field
-from rankmin.linalg import CertificateError
 from rankmin.suites import UnknownSuite, run_suite, suite_names
 
 # (property, instances) of every suite at trials=12, seed=3: pins each
@@ -79,8 +78,7 @@ def test_agreement_failures_carry_runnable_recheck(monkeypatch):
         assert args.field == cx["field"]
         assert json.loads(getattr(args, flag)) == cx[key]
         # the argv reproduces the disagreement through the CLI
-        with pytest.raises(CertificateError):
-            run_command(cx["recheck"])
+        assert run_command(cx["recheck"]) == EXIT_CHECK
 
 
 def test_unknown_suite_raises():
