@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .combinatorics import (
     count_r_minimal,
@@ -73,6 +73,20 @@ def _load_subspace(tower: FieldTower, value: str) -> Subspace:
     return Subspace.from_json(tower, _read_json_arg(value))
 
 
+def _load_code(args) -> RankCode:
+    """The ``--code`` input, over ``--field`` or the tower embedded in it."""
+    obj = _read_json_arg(args.code)
+    return RankCode.from_json(_load_tower(args.field, obj), obj)
+
+
+def _load_flat(args) -> Tuple[FieldTower, int, Subspace]:
+    """(tower, k, S) for the ``--subspace`` input S inside F^(km)."""
+    obj = _read_json_arg(args.subspace)
+    tower = _load_tower(args.field, obj)
+    sub = Subspace.from_json(tower, obj)
+    return tower, sub.ambient // tower.m, sub
+
+
 def _emit(args, obj: dict, text: str) -> None:
     if args.json:
         print(json.dumps(obj, sort_keys=True))
@@ -111,9 +125,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_wt(args) -> int:
-    obj_in = _read_json_arg(args.code)
-    tower = _load_tower(args.field, obj_in)
-    code = RankCode.from_json(tower, obj_in)
+    code = _load_code(args)
     support = chi_code(code)
     obj = {"wt": support.dim, "chi": support.to_json(),
            "code": code.to_json()}
@@ -122,9 +134,7 @@ def _cmd_wt(args) -> int:
 
 
 def _cmd_grw(args) -> int:
-    obj_in = _read_json_arg(args.code)
-    tower = _load_tower(args.field, obj_in)
-    code = RankCode.from_json(tower, obj_in)
+    code = _load_code(args)
     if args.r is not None:
         val = grw(code, args.r)
         obj = {"r": args.r, "d_r": val, "code": code.to_json()}
@@ -143,9 +153,7 @@ def _verdict_exit(args, verdict: bool) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    obj_in = _read_json_arg(args.code)
-    tower = _load_tower(args.field, obj_in)
-    code = RankCode.from_json(tower, obj_in)
+    code = _load_code(args)
     verdict = is_r_minimal(code, args.r, method=args.method)
     obj = verdict.to_json()
     obj["d_sequence"] = grw_sequence(code)
@@ -154,20 +162,16 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
-    obj_in = _read_json_arg(args.code)
-    tower = _load_tower(args.field, obj_in)
-    code = RankCode.from_json(tower, obj_in)
-    b = _load_subspace(tower, args.subcode)
+    code = _load_code(args)
+    b = _load_subspace(code.tower, args.subcode)
     verdict = is_sigma_maximal(code, b)
     _emit(args, {"verdict": verdict}, str(verdict))
     return _verdict_exit(args, verdict)
 
 
 def _cmd_rank_minimal(args) -> int:
-    obj_in = _read_json_arg(args.code)
-    tower = _load_tower(args.field, obj_in)
-    code = RankCode.from_json(tower, obj_in)
-    b = _load_subspace(tower, args.subcode)
+    code = _load_code(args)
+    b = _load_subspace(code.tower, args.subcode)
     verdict = is_rank_minimal(code, b, method=args.method)
     _emit(args, verdict.to_json(),
           f"{verdict.verdict} (method={verdict.method})")
@@ -175,10 +179,7 @@ def _cmd_rank_minimal(args) -> int:
 
 
 def _cmd_cutting(args) -> int:
-    obj_in = _read_json_arg(args.subspace)
-    tower = _load_tower(args.field, obj_in)
-    sub = Subspace.from_json(tower, obj_in)
-    k = sub.ambient // tower.m
+    tower, k, sub = _load_flat(args)
     verdict = is_cutting(tower, k, sub, args.r, route=args.route)
     _emit(args, verdict.to_json(),
           f"{verdict.verdict} (route={verdict.route})")
@@ -186,10 +187,7 @@ def _cmd_cutting(args) -> int:
 
 
 def _cmd_evasive(args) -> int:
-    obj_in = _read_json_arg(args.subspace)
-    tower = _load_tower(args.field, obj_in)
-    sub = Subspace.from_json(tower, obj_in)
-    k = sub.ambient // tower.m
+    tower, k, sub = _load_flat(args)
     ok, refuting = is_evasive(tower, k, sub, args.h, args.t)
     obj = {"verdict": ok}
     if refuting is not None:
@@ -214,10 +212,7 @@ def _cmd_evasive_max(args) -> int:
 
 
 def _cmd_linearity(args) -> int:
-    obj_in = _read_json_arg(args.subspace)
-    tower = _load_tower(args.field, obj_in)
-    sub = Subspace.from_json(tower, obj_in)
-    k = sub.ambient // tower.m
+    tower, k, sub = _load_flat(args)
     val = linearity_index(tower, k, sub)
     _emit(args, {"linearity_index": val}, str(val))
     return EXIT_OK

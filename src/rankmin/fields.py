@@ -8,13 +8,18 @@ the coefficients modulo ``ext_poly``.  All arithmetic happens on these
 internal ints; a custom ordered basis only changes the coordinate maps
 (``to_coords`` / ``expand``) and the external serialization integers.
 
-Multiplication uses log/antilog tables whenever the field order is at most
-2^16 and falls back to schoolbook polynomial arithmetic above that.
+``tower.F`` and ``tower.E`` are the field engines themselves.  Both share
+one additive law: the base-p digits of every element are its coordinates
+over GF(p), so addition is XOR when p = 2, one residue mod p when the
+field is GF(p), and digit-wise mod p otherwise.  Multiplication uses
+log/antilog tables whenever the field order is at most 2^16 and falls
+back to schoolbook polynomial arithmetic above that.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from typing import List, Optional, Sequence, Tuple, Union
 
 _TABLE_LIMIT = 1 << 16
 
@@ -43,26 +48,39 @@ def digits_to_int(digits: Sequence[int], base: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Field engines.  _PrimeField and _PolyField both expose: order, add, sub,
-# neg, mul, inv.  _PolyField stacks on any engine below it, so the
+# Field engines.  _PrimeField and _PolyField both expose: p, order, add,
+# sub, neg, mul, inv.  _PolyField stacks on any engine below it, so the
 # same code builds GF(p^e) over GF(p) and GF(q^m) over GF(q).
 # ---------------------------------------------------------------------------
+
+
+def _additive_law(p: int, order: int):
+    """(add, sub, neg) on ints whose base-p digits are GF(p)-coordinates."""
+    if p == 2:
+        return operator.xor, operator.xor, lambda a: a
+    if order == p:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                lambda a: -a % p)
+
+    def digitwise(a: int, b: int, sign: int) -> int:
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * w
+            w *= p
+        return out
+
+    return (lambda a, b: digitwise(a, b, 1), lambda a, b: digitwise(a, b, -1),
+            lambda a: digitwise(0, a, -1))
 
 
 class _PrimeField:
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise ValueError(f"p={p} is not prime")
-        self.order = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.order
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.order
+        self.p = self.order = p
+        self.add, self.sub, self.neg = _additive_law(p, p)
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.order
@@ -81,11 +99,13 @@ class _PolyField:
             raise ValueError("modulus must be monic of the stated degree")
         if not _is_irreducible(modulus, subfield):
             raise NonIrreducible(f"polynomial {list(modulus)} factors")
-        self.sub_ = subfield
+        self.subfield = subfield
         self.degree = degree
         self.modulus = tuple(modulus)
         self.base = subfield.order
+        self.p = subfield.p
         self.order = subfield.order**degree
+        self.add, self.sub, self.neg = _additive_law(self.p, self.order)
         # x^degree = -(low-order part of modulus)
         self._overflow = tuple(subfield.neg(c) for c in modulus[:degree])
         self._log: Optional[List[int]] = None
@@ -100,22 +120,8 @@ class _PolyField:
     def _pack(self, digits: Sequence[int]) -> int:
         return digits_to_int(digits, self.base)
 
-    def add(self, a: int, b: int) -> int:
-        s = self.sub_
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([s.add(x, y) for x, y in zip(da, db)])
-
-    def sub(self, a: int, b: int) -> int:
-        s = self.sub_
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([s.sub(x, y) for x, y in zip(da, db)])
-
-    def neg(self, a: int) -> int:
-        s = self.sub_
-        return self._pack([s.neg(x) for x in self._digits(a)])
-
     def _mul_poly(self, a: int, b: int) -> int:
-        s = self.sub_
+        s = self.subfield
         d = self.degree
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * d - 1)
@@ -181,6 +187,10 @@ class _PolyField:
         if self._log is not None:
             return self._exp[(self.order - 1) - self._log[a]]
         return self._pow_poly(a, self.order - 2)
+
+
+# A field engine: one level of a tower (``tower.F`` or ``tower.E``).
+Field = Union[_PrimeField, _PolyField]
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -253,25 +263,6 @@ def default_irreducible(fld, degree: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class FieldLevel:
-    """One coefficient level of a tower (F or E), as used by linalg."""
-
-    __slots__ = ("tower", "name", "order", "add", "sub", "neg", "mul", "inv")
-
-    def __init__(self, tower: "FieldTower", name: str, engine):
-        self.tower = tower
-        self.name = name
-        self.order = engine.order
-        self.add = engine.add
-        self.sub = engine.sub
-        self.neg = engine.neg
-        self.mul = engine.mul
-        self.inv = engine.inv
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FieldLevel({self.name}, order={self.order})"
-
-
 class FieldTower:
     """Immutable description of GF(q^m)/GF(q); all ops are pure."""
 
@@ -284,19 +275,19 @@ class FieldTower:
         self.m = m
         prime = _PrimeField(p)
         if e == 1:
-            self._fops = prime
+            self.F = prime
             self.base_poly = tuple(base_poly) if base_poly is not None else None
         else:
             if base_poly is None:
                 base_poly = default_irreducible(prime, e)
-            self._fops = _PolyField(prime, e, base_poly)
+            self.F = _PolyField(prime, e, base_poly)
             self.base_poly = tuple(base_poly)
-        self.q = self._fops.order
+        self.q = self.F.order
         if ext_poly is None:
-            ext_poly = default_irreducible(self._fops, m)
-        self._xops = _PolyField(self._fops, m, ext_poly)
+            ext_poly = default_irreducible(self.F, m)
+        self.E = _PolyField(self.F, m, ext_poly)
         self.ext_poly = tuple(ext_poly)
-        self.order = self._xops.order
+        self.order = self.E.order
 
         if basis is None:
             basis = tuple(self.q**i for i in range(m))  # 1, x, ..., x^(m-1)
@@ -307,14 +298,11 @@ class FieldTower:
         # columns of T = polynomial digits of the basis elements
         cols = [int_to_digits(b, self.q, m) for b in basis]
         tinv = _invert_matrix([[cols[j][i] for j in range(m)] for i in range(m)],
-                              self._fops)
+                              self.F)
         if tinv is None:
             raise BadBasis("basis is not F-linearly independent")
         self._coord_matrix = tinv
         self._default_basis = basis == tuple(self.q**i for i in range(m))
-
-        self.F = FieldLevel(self, "F", self._fops)
-        self.E = FieldLevel(self, "E", self._xops)
 
     # -- coordinates -------------------------------------------------------
     def to_coords(self, x: int) -> Tuple[int, ...]:
@@ -322,9 +310,9 @@ class FieldTower:
         digits = int_to_digits(x, self.q, self.m)
         if self._default_basis:
             return digits
-        f = self._fops
         return tuple(
-            _dot_row(self._coord_matrix[i], digits, f) for i in range(self.m)
+            _dot_row(self._coord_matrix[i], digits, self.F)
+            for i in range(self.m)
         )
 
     def from_coords(self, coords: Sequence[int]) -> int:
@@ -350,14 +338,8 @@ class FieldTower:
         return [[col[i] for col in cols] for i in range(self.m)]
 
     def reconstruct(self, mat: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-        n = len(mat[0]) if mat else 0
-        out = []
-        for j in range(n):
-            x = 0
-            for i in range(self.m):
-                x = self.E.add(x, self.E.mul(mat[i][j], self.basis[i]))
-            out.append(x)
-        return tuple(out)
+        """Inverse of ``expand``: column j holds the coordinates of alpha_j."""
+        return tuple(self.from_coords(col) for col in zip(*mat))
 
     # -- serialization -------------------------------------------------------
     def spec_string(self) -> str:
@@ -369,6 +351,11 @@ class FieldTower:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTower(GF({self.q}^{self.m})/GF({self.q}))"
+
+    def __reduce__(self):
+        # the engines hold closures; a tower pickles as its definition
+        return FieldTower, (self.p, self.e, self.m, self.base_poly,
+                            self.ext_poly, self.basis)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldTower)

@@ -17,7 +17,7 @@ import itertools
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .fields import FieldLevel, FieldTower
+from .fields import Field, FieldTower
 
 ENUM_ORDER_TAG = "subspace-enum/1"
 
@@ -38,7 +38,7 @@ class CertificateError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: Sequence[Sequence[int]], level: FieldLevel,
+def rref(rows: Sequence[Sequence[int]], level: Field,
          ) -> Tuple[Tuple[Tuple[int, ...], ...], int, Tuple[int, ...]]:
     """Reduced row echelon form; returns (rows, rank, pivot columns)."""
     work = [list(r) for r in rows]
@@ -67,7 +67,7 @@ def rref(rows: Sequence[Sequence[int]], level: FieldLevel,
     return out, r, tuple(pivots)
 
 
-def mat_vec(level: FieldLevel, rows: Sequence[Sequence[int]],
+def mat_vec(level: Field, rows: Sequence[Sequence[int]],
             vec: Sequence[int]) -> Tuple[int, ...]:
     """vec * rows (row vector times matrix)."""
     ncols = len(rows[0]) if rows else 0
@@ -155,7 +155,7 @@ class Subspace:
 
     # -- basics --------------------------------------------------------------
     @property
-    def level(self) -> FieldLevel:
+    def level(self) -> Field:
         return self.tower.F if self.level_name == "F" else self.tower.E
 
     @property
@@ -387,17 +387,23 @@ def unflatten_vector(tower: FieldTower, vec: Sequence[int]) -> Tuple[int, ...]:
 
 
 def flatten_subspace(esub: Subspace) -> Subspace:
-    """View an E-subspace of E^k as an F-subspace of F^(km), dim times m."""
+    """View an E-subspace of E^k as an F-subspace of F^(km), dim times m.
+
+    The flattened tau_j * row_i are already in RREF: row i of the E-RREF
+    is 1 in its pivot block p_i and 0 in every other pivot block, so
+    tau_j * row_i has coordinates e_j in block p_i and 0 in the other
+    pivot blocks, and its pivot is column p_i * m + j.
+    """
     tower = esub.tower
     if esub.level_name != "E":
         raise AmbientMismatch("flatten_subspace expects an E-level subspace")
-    mul = tower.E.mul
-    vecs = []
-    for row in esub.rows:
-        for tau in tower.basis:
-            scaled = tuple(mul(tau, x) for x in row)
-            vecs.append(flatten_vector(tower, scaled))
-    return Subspace.span(tower, "F", esub.ambient * tower.m, vecs)
+    mul, m = tower.E.mul, tower.m
+    rows, pivots = [], []
+    for row, p in zip(esub.rows, esub.pivots):
+        for j, tau in enumerate(tower.basis):
+            rows.append(flatten_vector(tower, [mul(tau, x) for x in row]))
+            pivots.append(p * m + j)
+    return Subspace(tower, "F", esub.ambient * m, tuple(rows), tuple(pivots))
 
 
 def espan_of_flat(fsub: Subspace) -> Subspace:

@@ -184,8 +184,9 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     """d_r(C): the minimum support weight over r-dimensional subcodes.
 
     ``geometric`` minimizes dim_F(U) - dim_F(M cap U) over the
-    (k-r)-dimensional E-subspaces M of E^[k]; ``brute`` minimizes
-    subcode weights directly; ``both`` cross-checks the two routes.
+    (k-r)-dimensional E-subspaces M of E^[k]; ``brute`` minimizes the
+    direct support dimension chi of every r-dimensional subcode, without
+    the dual-intersection formula; ``both`` cross-checks the two routes.
     """
     if not 0 <= r <= code.k:
         raise ValueError(f"r={r} outside 0..{code.k}")
@@ -199,7 +200,7 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
         return a
     if method == "brute":
         return min(
-            subcode_weight(code, b)
+            chi(code.tower, [code.codeword(g) for g in b.rows], code.n).dim
             for b in enumerate_subspaces(code.tower, "E", code.k, r)
         )
     if method != "geometric":

@@ -587,18 +587,6 @@ def census_codes(tower: FieldTower, n: int, k: int,
     return report
 
 
-def subcode_weight_census(tower: FieldTower, n: int, r: int,
-                          ) -> Dict[int, int]:
-    """Weight distribution of all r-dimensional codes of E^n (the counts
-    feeding the existence bound on non-minimal (r+1)-dimensional codes)."""
-    out: Dict[int, int] = {}
-    for sub in enumerate_subspaces(tower, "E", n, r):
-        code = RankCode(tower, n, sub.rows) if r else RankCode.zero(tower, n)
-        wt = weight(code)
-        out[wt] = out.get(wt, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Maximal evasive dimension.
 # ---------------------------------------------------------------------------

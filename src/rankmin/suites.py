@@ -616,7 +616,7 @@ def _suite_maximality(towers, trials, seed):
     tally = _Tally("equivalence")
     for tower in towers[:2]:
         for rng in _rngs(seed, "maximality", trials // 30):
-            code = random_code(tower, rng, n_max=4, k_max=2)
+            code = random_code(tower, rng, n_max=4, k_max=2, k_min=2)
             for r in range(1, code.k):
                 tally.count += 1
                 rmin = is_r_minimal(code, r).verdict

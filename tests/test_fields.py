@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,9 +7,21 @@ from rankmin.fields import (
     BadBasis,
     NonIrreducible,
     default_irreducible,
+    int_to_digits,
     make_field,
     parse_field_spec,
 )
+
+# p = 2 and odd p, e = 1 and e = 2, default and custom bases
+LAW_TOWERS = [
+    make_field(2, 2),
+    make_field(2, 3, basis=[1, 3, 7]),
+    make_field(3, 2, basis=[2, 4]),
+    make_field(2, 2, e=2),
+    make_field(3, 3),
+    make_field(3, 2, e=2),
+    make_field(5, 2),
+]
 
 
 def test_smallest_towers():
@@ -125,12 +138,37 @@ def test_spec_string_roundtrip():
     assert parse_field_spec(deep.spec_string()) == deep
 
 
+def test_tower_pickles_with_its_basis():
+    tower = make_field(2, 3, basis=[1, 3, 7])
+    again = pickle.loads(pickle.dumps(tower))
+    assert again == tower and again.E.add(5, 6) == tower.E.add(5, 6) == 3
+    assert again.to_coords(5) == tower.to_coords(5)
+
+
 def test_default_irreducible_has_no_roots():
     gf9 = make_field(3, 2)
-    poly = default_irreducible(gf9._fops, 2)
+    poly = default_irreducible(gf9.F, 2)
     # no root in GF(9): evaluate by Horner with field ops
     for x in range(9):
         acc = 0
         for c in reversed(poly):
             acc = gf9.F.add(gf9.F.mul(acc, x), c)
         assert acc != 0
+
+
+@pytest.mark.parametrize("tower", LAW_TOWERS,
+                         ids=lambda t: f"GF({t.order})/GF({t.q})")
+def test_additive_law_is_coefficientwise_mod_p(tower):
+    # an element's base-p digits are its coefficients over GF(p): the
+    # e coefficients of each of its m coefficients over F
+    p = tower.p
+    for level, n in ((tower.F, tower.e), (tower.E, tower.e * tower.m)):
+        coeffs = [int_to_digits(x, p, n) for x in range(level.order)]
+        index = {c: x for x, c in enumerate(coeffs)}
+        for a, ca in enumerate(coeffs):
+            assert level.neg(a) == index[tuple(-x % p for x in ca)]
+            for b, cb in enumerate(coeffs):
+                assert level.add(a, b) == index[
+                    tuple((x + y) % p for x, y in zip(ca, cb))]
+                assert level.sub(a, b) == index[
+                    tuple((x - y) % p for x, y in zip(ca, cb))]

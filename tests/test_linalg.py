@@ -186,6 +186,36 @@ def test_flatten_subspace_dims():
     assert espan_of_flat(s).dim == 2
 
 
+# (tower, largest k): every k with |E^k| <= 20,000, except that GF(4) stops
+# at k = 5 (E^6 already has 471,264 subspaces)
+FLATTEN_CASES = [
+    (make_field(2, 2), 5),
+    (make_field(2, 3, basis=[1, 3, 7]), 4),
+    (make_field(3, 2, basis=[2, 4]), 4),
+    (make_field(2, 2, e=2), 3),
+    (make_field(3, 3), 3),
+    (make_field(3, 2, e=2), 2),
+    (make_field(5, 2), 3),
+]
+
+
+@pytest.mark.parametrize("tower, k_max", FLATTEN_CASES,
+                         ids=[f"GF({t.order})/GF({t.q})"
+                              for t, _ in FLATTEN_CASES])
+def test_flatten_subspace_equals_span_of_scaled_rows(tower, k_max):
+    # flatten_subspace writes the RREF down directly; the oracle
+    # row-reduces the flattened tau_j * row_i of every E-subspace
+    mul = tower.E.mul
+    for k in range(1, k_max + 1):
+        for d in range(k + 1):
+            for esub in enumerate_subspaces(tower, "E", k, d):
+                vecs = [flatten_vector(tower, [mul(tau, x) for x in row])
+                        for row in esub.rows for tau in tower.basis]
+                want = Subspace.span(tower, "F", k * tower.m, vecs)
+                got = flatten_subspace(esub)
+                assert (got, got.pivots) == (want, want.pivots)
+
+
 def test_f_rational_part():
     # A = E-span of (1, w): flattened contains (1,1)? rational part is the
     # set of F-vectors in A.

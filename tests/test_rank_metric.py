@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from rankmin import rank_metric
 from rankmin.fields import make_field
-from rankmin.linalg import Subspace, enumerate_subspaces, f_rational_part
+from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
+                            f_rational_part)
 from rankmin.rank_metric import (
     RankCode,
     chi,
@@ -97,6 +99,22 @@ def test_grw_examples():
     assert grw(C32, 2) == 3
     # d_1(C32) = 1: the codeword (0,1,1) expands to a single F-row
     assert grw(C32, 1, method="both") == 1
+
+
+def test_grw_both_catches_lying_flatten(monkeypatch):
+    # a flattening that drops one row makes the geometric route report
+    # d_1(C32) = 2; the brute route computes supports without flattening
+    real = rank_metric.flatten_subspace
+
+    def lying_flatten(esub):
+        flat = real(esub)
+        return Subspace(flat.tower, "F", flat.ambient, flat.rows[:-1],
+                        flat.pivots[:-1])
+
+    monkeypatch.setattr(rank_metric, "flatten_subspace", lying_flatten)
+    assert grw(C32, 1, method="brute") == 1
+    with pytest.raises(CertificateError, match="grw routes disagree"):
+        grw(C32, 1, method="both")
 
 
 def test_grw_routes_agree_random():

@@ -287,9 +287,9 @@ def test_subcode_weight_census_feeds_psi_bound():
     from fractions import Fraction
 
     from rankmin.combinatorics import psi_bounds
-    from rankmin.search import subcode_weight_census
 
-    counts = subcode_weight_census(GF4, 3, 1)
+    # the weight distribution of all 1-dimensional codes of E^3
+    counts = census_codes(GF4, 3, 1).counts["weight_distribution"]
     assert counts == {1: 7, 2: 14}
     rep = psi_bounds(2, 2, 3, 2, 1, 2, psi_t=7, weight_counts=counts)
     assert rep.weight_census_bound == Fraction(14)

@@ -27,7 +27,7 @@ INSTANCES_12_3 = {
                 ("column-span-weight", 12), ("subcode-weight-formula", 12)],
     "lemma22": [("full-support", 12)],
     "lemma23": [("h-le-t", 5), ("parameter-drop", 5), ("quotient", 5)],
-    "maximality": [("equivalence", 0)],
+    "maximality": [("equivalence", 2)],
     "prop31": [("constant-implies-minimal", 12)],
     "prop42": [("lower-bound", 6)],
     "rank-support-basics": [("scalar-invariance", 36),
