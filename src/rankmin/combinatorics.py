@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .linalg import CertificateError
+
 
 class NonIntegerResult(ArithmeticError):
     """An exact division that must be integral was not (implementation bug)."""
@@ -100,9 +102,8 @@ def count_r_minimal(q: int, m: int, n: int, r: int) -> int:
     """
     if n < r + 1:
         raise ValueError("need n >= r + 1")
-    total = 0
-    for i in range(m * r + 1, m * (r + 1) + 1):
-        total += qdelta(q, m * (r + 1), i) * qbinom(q, n, i)
+    total = sum(count_rank_matrices(q, m * (r + 1), n, i)
+                for i in range(m * r + 1, m * (r + 1) + 1))
     denom = qdelta(q**m, r + 1, r + 1)
     if total % denom:
         raise NonIntegerResult("r-minimal count did not divide evenly")
@@ -410,9 +411,11 @@ def omega_bounds(m: int, k: int, r: int) -> OmegaBounds:
 
     lower = max(lowers) if lowers else 0
     upper = min(uppers) if uppers else (k - 1) * m + 1
-    assert lower <= upper, f"bound rules crossed: {lower} > {upper}"
+    if lower > upper:
+        raise CertificateError(f"bound rules crossed: {lower} > {upper}")
     if exact is not None:
-        assert lower <= exact <= upper, "exact rule outside rule interval"
+        if not lower <= exact <= upper:
+            raise CertificateError("exact rule outside rule interval")
         lower = upper = exact
     return OmegaBounds(m, k, r, lower, upper, rules, exact is not None)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .fields import FieldTower
+from .fields import FieldTower, int_to_digits
 from .linalg import (
     CertificateError,
     Subspace,
@@ -141,12 +141,7 @@ def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
 
 def _all_e_vectors(tower: FieldTower, k: int):
     order = tower.order
-    for enc in range(order**k):
-        x, vec = enc, []
-        for _ in range(k):
-            x, dgt = divmod(x, order)
-            vec.append(dgt)
-        yield tuple(vec)
+    return (int_to_digits(enc, order, k) for enc in range(order**k))
 
 
 def _stabilizer_count(tower: FieldTower, hset: frozenset, k: int) -> int:
@@ -183,7 +178,8 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
                for v in cur
                for zz in _scalar_multiples(tower, z)}
     out = Subspace.span(tower, "E", k, lines)
-    assert out.dim == t
+    if out.dim != t:
+        raise CertificateError(f"avoiding span has dimension {out.dim} != {t}")
     # postcondition: every nonzero element of the span avoids the set
     for coeffs in _all_e_vectors(tower, t):
         if not any(coeffs):
@@ -191,7 +187,8 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
         v = [0] * k
         for c, zz in zip(coeffs, lines):
             v = [tower.E.add(a, tower.E.mul(c, b)) for a, b in zip(v, zz)]
-        assert tuple(v) not in original
+        if tuple(v) in original:
+            raise CertificateError("avoiding span meets the set")
     return out
 
 
@@ -233,14 +230,12 @@ def avoid_complement(tower: FieldTower, k: int,
             raise PreconditionViolated("dim_F(H) < mt: complement not forced")
         sub = Subspace.span(tower, "F", h.ambient, h.rows[:m * t])
         v = _avoid_subspace(tower, k, sub, t)
-        full = Subspace.full(tower, "F", k * m)
-        assert h.sum(flatten_subspace(v)) == full
+        if h.sum(flatten_subspace(v)) != Subspace.full(tower, "F", k * m):
+            raise CertificateError("H + W is not all of E^[k]")
         return v
     if h.dim > m * t:
         raise PreconditionViolated("dim_F(H) > mt: no avoiding complement")
-    v = _avoid_subspace(tower, k, h, t)
-    assert h.intersection_dim(flatten_subspace(v)) == 0
-    return v
+    return _avoid_subspace(tower, k, h, t)
 
 
 def _avoid_subspace(tower: FieldTower, k: int, h: Subspace, t: int,
@@ -256,8 +251,9 @@ def _avoid_subspace(tower: FieldTower, k: int, h: Subspace, t: int,
         line = Subspace.span(tower, "E", k, [z])
         cur = cur.sum(flatten_subspace(line))
     out = Subspace.span(tower, "E", k, basis)
-    assert out.dim == k - t
-    assert h.intersection_dim(flatten_subspace(out)) == 0
+    if out.dim != k - t or h.intersection_dim(flatten_subspace(out)) != 0:
+        raise CertificateError("avoiding complement has the wrong "
+                               "dimension or meets H")
     return out
 
 

@@ -5,7 +5,8 @@ matrix, so equality and hashing are structural.  Enumeration of all
 d-dimensional subspaces of K^N walks pivot-column sets in lexicographic
 order and fills the free cells in row-major base-|K| counting order
 (enumeration order tag: ``subspace-enum/1``); the search module shards by
-this order.
+this order.  The free cells are the odometer: a step changes one cell,
+and one more for each carry.
 
 Rows are tuples of int-encoded field elements.  When the base field is
 GF(2) the rows also pack into ints, which the rank helpers below use.
@@ -17,7 +18,7 @@ import itertools
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .fields import Field, FieldTower
+from .fields import Field, FieldTower, int_to_digits
 
 ENUM_ORDER_TAG = "subspace-enum/1"
 
@@ -311,25 +312,31 @@ def decode_rows(obj: dict, rows_key: str, width_key: str, order: int,
 def free_cells(pivots: Sequence[int], ncols: int) -> List[Tuple[int, int]]:
     """Row-major list of fillable cells for an RREF pivot set."""
     pivset = set(pivots)
-    cells = []
-    for r, p in enumerate(pivots):
-        for c in range(p + 1, ncols):
-            if c not in pivset:
-                cells.append((r, c))
-    return cells
+    return [(r, c) for r, p in enumerate(pivots)
+            for c in range(p + 1, ncols) if c not in pivset]
 
 
-def rref_from_fill(pivots: Sequence[int], ncols: int,
-                   cells: Sequence[Tuple[int, int]],
-                   fill: int, order: int) -> List[List[int]]:
+def walk_fills(pivots: Sequence[int], ncols: int, order: int,
+               lo: int = 0, hi: Optional[int] = None,
+               ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """RREF rows of the fills lo .. hi-1 (default: all) of a pivot set: the
+    free cells start at the base-|K| digits of ``lo``, and each step adds 1
+    to cell 0, carrying on while a cell wraps to 0."""
     rows = [[0] * ncols for _ in pivots]
-    for r, p in enumerate(pivots):
-        rows[r][p] = 1
-    x = fill
-    for (r, c) in cells:
-        x, d = divmod(x, order)
-        rows[r][c] = d
-    return rows
+    for row, p in zip(rows, pivots):
+        row[p] = 1
+    cells = [(rows[r], c) for r, c in free_cells(pivots, ncols)]
+    if lo:
+        for (row, c), dgt in zip(cells, int_to_digits(lo, order, len(cells))):
+            row[c] = dgt
+    last = order - 1
+    for _ in range(lo, order ** len(cells) if hi is None else hi):
+        yield tuple(map(tuple, rows))
+        for row, c in cells:
+            if row[c] != last:
+                row[c] += 1
+                break
+            row[c] = 0
 
 
 def enumerate_subspaces(tower: FieldTower, level_name: str, ambient: int,
@@ -344,14 +351,10 @@ def enumerate_subspaces(tower: FieldTower, level_name: str, ambient: int,
     if d == 0:
         yield Subspace.zero(tower, level_name, ambient)
         return
-    level = tower.F if level_name == "F" else tower.E
-    order = level.order
+    order = (tower.F if level_name == "F" else tower.E).order
     for pivots in itertools.combinations(range(ambient), d):
-        cells = free_cells(pivots, ambient)
-        for fill in range(order ** len(cells)):
-            rows = rref_from_fill(pivots, ambient, cells, fill, order)
-            yield Subspace(tower, level_name, ambient,
-                           tuple(tuple(r) for r in rows), tuple(pivots))
+        for rows in walk_fills(pivots, ambient, order):
+            yield Subspace(tower, level_name, ambient, rows, pivots)
 
 
 def subspaces_of(sub: Subspace, d: int) -> Iterator[Subspace]:

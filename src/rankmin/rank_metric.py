@@ -248,8 +248,8 @@ def drop_weight_subcode(code: RankCode) -> RankCode:
     inter = code.as_subspace().intersect(mu)
     sub = (RankCode(code.tower, code.n, inter.rows) if inter.dim
            else RankCode.zero(code.tower, code.n))
-    assert sub.k == code.k - 1
-    assert chi_code(sub).dim < support.dim
+    if sub.k != code.k - 1 or chi_code(sub).dim >= support.dim:
+        raise CertificateError("subcode does not drop the support weight")
     return sub
 
 
@@ -284,8 +284,9 @@ def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     b = v.dual()  # the B <= E^k with Bdd = V
     witness = code.subcode(b)
     got = subcode_weight(code, b)
-    assert got == value, "witness weight does not match min(ms, wt(C))"
-    assert witness.k == s
+    if got != value or witness.k != s:
+        raise CertificateError(
+            "witness weight does not match min(ms, wt(C))")
     return value, witness
 
 
@@ -297,7 +298,8 @@ def full_support_codeword(code: RankCode) -> Tuple[int, ...]:
         return (0,) * code.n
     _, witness = max_subcode_weight(code, 1)
     alpha = witness.gen[0]
-    assert rank_support(code.tower, alpha) == chi_code(code)
+    if rank_support(code.tower, alpha) != chi_code(code):
+        raise CertificateError("codeword support is not chi(C)")
     return alpha
 
 

@@ -13,13 +13,16 @@ from rankmin.linalg import (
     f_rational_part,
     flatten_subspace,
     flatten_vector,
+    free_cells,
     mat_vec,
     pack_gf2,
     rank_gf2,
     rref,
     subspaces_of,
     unflatten_vector,
+    walk_fills,
 )
+from rankmin.search import _FILL_CHUNK
 
 GF4 = make_field(2, 2, ext_poly=(1, 1, 1))
 GF2 = make_field(2, 1)
@@ -156,6 +159,69 @@ def test_enumeration_edge_dims():
     full = list(enumerate_subspaces(GF2, "F", 3, 3))
     assert full == [Subspace.full(GF2, "F", 3)]
     assert list(enumerate_subspaces(GF2, "F", 3, 4)) == []
+
+
+def rref_from_fill(pivots, ncols, cells, fill, order):
+    """Oracle for the walk: decode one fill index from scratch, free cells
+    row-major, cell 0 the least significant base-|K| digit."""
+    rows = [[0] * ncols for _ in pivots]
+    for r, p in enumerate(pivots):
+        rows[r][p] = 1
+    x = fill
+    for (r, c) in cells:
+        x, d = divmod(x, order)
+        rows[r][c] = d
+    return rows
+
+
+def _assert_walk_matches_oracle(pivots, ncols, order, lo=0, hi=None):
+    cells = free_cells(pivots, ncols)
+    end = order ** len(cells) if hi is None else hi
+    expect = [tuple(map(tuple, rref_from_fill(pivots, ncols, cells, fill,
+                                              order)))
+              for fill in range(lo, end)]
+    assert list(walk_fills(pivots, ncols, order, lo, hi)) == expect
+
+
+@pytest.mark.parametrize("tower,level,n", [
+    (GF2, "F", 7),
+    (make_field(3, 1), "F", 6),
+    (GF4, "E", 4),
+    (make_field(3, 2, e=2), "F", 6),        # F = GF(9)
+], ids=["gf2-F7", "gf3-F6", "gf4-E4", "gf9-F6"])
+def test_walk_equals_fill_oracle(tower, level, n):
+    order = (tower.F if level == "F" else tower.E).order
+    width = 200
+    for d in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), d):
+            nfill = order ** len(free_cells(pivots, n))
+            if nfill <= 3 * width:
+                _assert_walk_matches_oracle(pivots, n, order)
+                continue
+            mid = nfill // 2 + 7
+            for lo, hi in [(0, width), (mid, mid + width),
+                           (nfill - width, nfill)]:
+                _assert_walk_matches_oracle(pivots, n, order, lo, hi)
+
+
+def test_walk_edge_ranges():
+    # a pivot set with no free cells has exactly one fill
+    for pivots in [(4, 5, 6), (0, 1, 2, 3, 4, 5, 6)]:
+        assert free_cells(pivots, 7) == []
+        assert len(list(walk_fills(pivots, 7, 2))) == 1
+        _assert_walk_matches_oracle(pivots, 7, 2)
+    # single fills, lo = hi - 1, including the last one
+    assert len(free_cells((0, 3), 6)) == 6
+    for lo in (0, 1, 2, 8, 26, 80, 3 ** 6 - 1):
+        _assert_walk_matches_oracle((0, 3), 6, 3, lo, lo + 1)
+    # ranges that start at, end at and straddle unit boundaries of the
+    # scan, on pivot sets with more fills than one unit holds
+    for order, pivots, ncols in [(2, (0, 1), 24), (3, (1, 4), 12)]:
+        for j in (1, 2, 7):
+            edge = j * _FILL_CHUNK
+            for lo, hi in [(edge, edge + 40), (edge - 40, edge),
+                           (edge - 3, edge + 3)]:
+                _assert_walk_matches_oracle(pivots, ncols, order, lo, hi)
 
 
 def test_subspaces_of_restriction():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankmin import rank_metric
+from rankmin import geometry, rank_metric
 from rankmin.fields import make_field
 from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
                             f_rational_part)
@@ -190,6 +190,18 @@ def test_max_subcode_weight_brute_force_oracle():
                     default=0)
                 assert val == brute == min(m * s, weight(code))
                 assert chi_code(wit).dim == val
+
+
+def test_max_subcode_weight_checks_its_witness(monkeypatch):
+    # an avoid_complement that returns the wrong E-line gives a witness
+    # subcode lighter than min(ms, wt(C)) = 2; the check holds under -O too
+    k, s = C32.k, 1
+    wrong = next(v for v in enumerate_subspaces(GF4, "E", k, k - s)
+                 if subcode_weight(C32, v.dual()) != 2)
+    monkeypatch.setattr(geometry, "avoid_complement",
+                        lambda *args, **kwargs: wrong)
+    with pytest.raises(CertificateError, match="witness weight"):
+        max_subcode_weight(C32, s)
 
 
 def test_full_support_codeword_when_short():

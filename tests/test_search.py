@@ -10,10 +10,10 @@ import pytest
 import rankmin
 from rankmin import search, suites
 from rankmin.combinatorics import qbinom
-from rankmin.fields import make_field
+from rankmin.fields import int_to_digits, make_field
 from rankmin.geometry import is_cutting, is_evasive
 from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
-                            rref_from_fill)
+                            walk_fills)
 from rankmin.search import (
     BudgetExceeded,
     _units,
@@ -138,14 +138,14 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
             visited, rows = search._scan_unit_line(table, r, d, pivots, x, hi,
                                                    stop_at_first=True)
             assert visited == hi - x or rows is not None
-            for fill in range(x, x + visited):
-                sub = Subspace(tower, "F", ambient, tuple(
-                    map(tuple, rref_from_fill(pivots, ambient, cells, fill,
-                                              tower.q))), pivots)
+            candidates = walk_fills(pivots, ambient, tower.q, x, x + visited)
+            for fill, cand in enumerate(candidates, x):
+                sub = Subspace(tower, "F", ambient, cand, pivots)
                 found = rows is not None and fill == x + visited - 1
                 assert is_cutting(tower, k, sub, r,
                                   route="definition").verdict == found
                 if found:
+                    # the kernel's packed odometer reached the walk's fill
                     assert rows == sub.rows
                     cutting += 1
             x += visited
@@ -169,6 +169,31 @@ def test_line_kernel_agrees_with_definition(tower):
         for d in (m, m + 1, 2 * m, 2 * m + 1, 3 * m):
             cutting += _check_line_kernel(tower, 3, 1, d, 2, 7)
     assert cutting > 0
+
+
+@pytest.mark.parametrize("tower", [
+    GF8, GF9, make_field(3, 2, basis=[2, 4]), GF16_OVER_GF4],
+    ids=["gf8", "gf9", "gf9-basis", "gf16-over-gf4"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_line_table_partitions_into_e_lines(tower, k):
+    table = search._line_table(tower, k)
+    big_q, m = tower.order, tower.m
+
+    def packed(vec):
+        return sum(table.pack(tower.to_coords(x), j * m)
+                   for j, x in enumerate(vec))
+
+    members = {}
+    for enc in range(1, big_q ** k):
+        vec = int_to_digits(enc, big_q, k)
+        lid = table.line_of[packed(vec)]
+        members.setdefault(lid, set()).add(vec)
+        for lam in range(2, big_q):
+            scaled = tuple(tower.E.mul(lam, x) for x in vec)
+            assert table.line_of[packed(scaled)] == lid
+    assert table.num_lines == (big_q ** k - 1) // (big_q - 1)
+    assert sorted(members) == list(range(table.num_lines))
+    assert all(len(vecs) == big_q - 1 for vecs in members.values())
 
 
 def test_scan_kernel_choice():
