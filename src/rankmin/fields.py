@@ -7,6 +7,9 @@ field E = GF(q^m) is an int in [0, q^m) whose ascending base-q digits are
 the coefficients modulo ``ext_poly``.  All arithmetic happens on these
 internal ints; a custom ordered basis only changes the coordinate maps
 (``to_coords`` / ``expand``) and the external serialization integers.
+``to_coords`` is memoized per tower: each element's coordinate tuple is
+computed once, on first use, so the memo holds at most |E| entries.  It is
+not pickled; a tower pickles as its definition and rebuilds the memo.
 
 ``tower.F`` and ``tower.E`` are the field engines themselves.  Both share
 one additive law: the base-p digits of every element are its coordinates
@@ -19,7 +22,7 @@ back to schoolbook polynomial arithmetic above that.
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 _TABLE_LIMIT = 1 << 16
 
@@ -303,17 +306,27 @@ class FieldTower:
             raise BadBasis("basis is not F-linearly independent")
         self._coord_matrix = tinv
         self._default_basis = basis == tuple(self.q**i for i in range(m))
+        self._coords: Dict[int, Tuple[int, ...]] = {}
 
     # -- coordinates -------------------------------------------------------
     def to_coords(self, x: int) -> Tuple[int, ...]:
-        """Coordinates of x with respect to the ordered basis (tau_1..tau_m)."""
+        """Coordinates of x with respect to the ordered basis (tau_1..tau_m).
+
+        Memoized per tower (at most |E| tuples, never pickled); the flatten
+        maps of the deciders call this for every component they touch.
+        """
+        try:
+            return self._coords[x]
+        except KeyError:
+            pass
+        if not 0 <= x < self.order:
+            raise ValueError(f"{x} is not an element of GF({self.order})")
         digits = int_to_digits(x, self.q, self.m)
-        if self._default_basis:
-            return digits
-        return tuple(
-            _dot_row(self._coord_matrix[i], digits, self.F)
-            for i in range(self.m)
-        )
+        if not self._default_basis:
+            digits = tuple(_dot_row(self._coord_matrix[i], digits, self.F)
+                           for i in range(self.m))
+        self._coords[x] = digits
+        return digits
 
     def from_coords(self, coords: Sequence[int]) -> int:
         if self._default_basis:
@@ -448,4 +461,5 @@ def parse_field_spec(spec: str) -> FieldTower:
             current.append(int(token))
     if p is None or m is None:
         raise ValueError("field spec needs at least p= and m=")
-    return make_field(p, m, e=e or 1, base_poly=base, ext_poly=ext)
+    return make_field(p, m, e=1 if e is None else e, base_poly=base,
+                      ext_poly=ext)

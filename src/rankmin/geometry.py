@@ -104,10 +104,13 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
                 return CuttingVerdict(False, route, vsub)
         return CuttingVerdict(True, route)
     if route == "prop21":
+        # the E-lines do not depend on W: flatten them once per call
+        lines = [(isub, flatten_subspace(isub))
+                 for isub in enumerate_subspaces(tower, "E", k, 1)]
         for wsub in enumerate_subspaces(tower, "E", k, k - r - 1):
             sw = s.sum(flatten_subspace(wsub))
-            for isub in enumerate_subspaces(tower, "E", k, 1):
-                if sw.intersection_dim(flatten_subspace(isub)) == 0:
+            for isub, flat in lines:
+                if sw.intersection_dim(flat) == 0:
                     return CuttingVerdict(False, route, isub)
         return CuttingVerdict(True, route)
     if route == "evasive":
@@ -263,9 +266,11 @@ def _first_avoiding_subspace(tower: FieldTower, k: int,
         if z == (0,) * k:
             continue
         if not cur.contains_vector(flatten_vector(tower, z)):
-            # F-subspace: bz in cur for some b != 0 iff ... must check all
+            # z's E-line meets cur only at 0 iff no bz with b != 0 lies in
+            # cur.  cur is F-linear, so z outside it puts every F-multiple
+            # (b < q) outside too; only the b in E \ F are left to test
             if all(not cur.contains_vector(
                     flatten_vector(tower, tuple(tower.E.mul(b, x) for x in z)))
-                    for b in range(2, tower.order)):
+                    for b in range(tower.q, tower.order)):
                 return z
     raise PreconditionViolated("greedy ran out of vectors")

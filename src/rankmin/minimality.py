@@ -38,7 +38,6 @@ from .rank_metric import (
     grw,
     max_subcode_weight,
     subcode_spaces,
-    subcode_weight,
     support_code,
     transposed_dual,
 )
@@ -274,10 +273,13 @@ def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
     tower, m, k = code.tower, code.tower.m, code.k
     if k < 2 or not 1 <= r <= k - 1:
         raise ValueError("requires k >= 2 and 1 <= r <= k-1")
-    weights = sorted({subcode_weight(code, b)
-                      for b in subcode_spaces(code, r)})
+    # B -> Bdd is a bijection onto the (k-r)-dimensional E-subspaces M, so
+    # the r-dimensional subcode weights are dim_F(U) - dim_F(M cap U)
+    u = column_support(code)
+    weights = sorted({u.dim - flatten_subspace(msub).intersection_dim(u)
+                      for msub in enumerate_subspaces(tower, "E", k, k - r)})
     cond1 = len(weights) == 1
-    cond2 = column_support(code).dim == m * k
+    cond2 = u.dim == m * k
     if cond1 != cond2:
         raise CertificateError("constant-weight conditions disagree")
     return ConstantWeightReport(cond1, cond1, cond2, weights)

@@ -434,12 +434,16 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     Ascends from the rule lower bound; the d-1 sweep runs even when the
     rules already pin the value.  Raises BudgetExceeded with the verified
     bracket when the node or time budget runs out (time is checked between
-    dimension scans).
+    dimension scans) or when ``dim_cap`` stops the sweep below the rule
+    upper bound; a cap below the rule lower bound is a ValueError.
     """
     if k < r + 1:
         raise ValueError("need k >= r + 1")
     m = tower.m
     bounds = omega_bounds(m, k, r)
+    if dim_cap is not None and dim_cap < bounds.lower:
+        raise ValueError(f"dim cap {dim_cap} is below the rule lower bound "
+                         f"{bounds.lower}")
     ambient = k * m
     hard_cap = min(dim_cap if dim_cap is not None else ambient,
                    ambient)
@@ -498,6 +502,8 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
             paper_verified=bounds.exact,
             visited_total=visited_total,
         )
+    if d <= bounds.upper:
+        raise BudgetExceeded(d, bounds.upper, certs)
     raise CertificateError("no cutting set found up to the dimension cap; "
                            "the upper-bound rules contradict the search")
 
@@ -543,6 +549,8 @@ def census_codes(tower: FieldTower, n: int, k: int,
     distribution, and optionally constant-weight codes."""
     from .minimality import constant_weight_class, is_r_minimal
 
+    if r is not None and r < 0:
+        raise ValueError("r must be nonnegative")
     total = qbinom(tower.order, n, k)
     if budget is not None and total > budget:
         raise BudgetExceeded(0, total, [])
@@ -597,6 +605,8 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
                     ) -> Tuple[Optional[int], Optional[Subspace]]:
     """Largest dim_F of an (h,t)-evasive subspace of E^[k], by descending
     dimension with early exit; None when no such subspace exists."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     m = tower.m
     ambient = k * m
     visited = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -165,6 +166,28 @@ def test_omega_budget_exit(capsys):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_omega_dim_cap_below_the_answer_exits_3(capsys, monkeypatch):
+    # GF(4), k=3, r=1 is pinned at 5 by the rules; widen its bracket to
+    # [3, 5] so that a cap of 4 stops the sweep inside it
+    real = search.omega_bounds(2, 3, 1)
+    assert (real.lower, real.upper) == (5, 5)
+    monkeypatch.setattr(search, "omega_bounds", lambda m, k, r: dataclasses
+                        .replace(real, lower=3, exact=False))
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "3",
+                       "--r", "1", "--dim-cap", "4", "--threads", "1",
+                       "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["error"] == "budget-exceeded" and obj["bracket"] == [5, 5]
+    assert [c["exhaustion"]["dimension"] for c in obj["certificates"]] == \
+        [3, 4]
+    # a cap at the answer still finds it
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "3",
+                       "--r", "1", "--dim-cap", "5", "--threads", "1",
+                       "--json")
+    assert code == 0 and json.loads(out)["value"] == 5
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
                        "--k", "2", "--r", "1", "--json")
@@ -236,6 +259,13 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
     _scan_shard(4, 7),                                     # index past last
     _scan_shard(4, -1),                                    # negative index
     _scan_shard(0, 0),                                     # no shards
+    ["field", "--field", "p=2,e=0,m=2"],                   # e = 0
+    ["census", "--field", GF8, "--n", "4", "--k", "2", "--r", "-1"],
+    ["evasive-max", "--field", GF4, "--k", "-2", "--h", "1", "--t", "1"],
+    ["omega", "--field", "p=2,e=1,m=3", "--k", "3", "--r", "1",
+     "--dim-cap", "5"],                                    # below lower 6
+    ["omega", "--field", "p=2,e=1,m=3", "--k", "3", "--r", "1",
+     "--dim-cap", "-1"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

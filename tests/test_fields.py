@@ -172,3 +172,37 @@ def test_additive_law_is_coefficientwise_mod_p(tower):
                     tuple((x + y) % p for x, y in zip(ca, cb))]
                 assert level.sub(a, b) == index[
                     tuple((x - y) % p for x, y in zip(ca, cb))]
+
+
+def _coords_by_solving(tower):
+    """x -> (c_1..c_m) with x = sum c_i tau_i, found by running through
+    every coefficient tuple in E's own arithmetic."""
+    E, m, q = tower.E, tower.m, tower.q
+    table = {}
+    for n in range(q**m):
+        coeffs = int_to_digits(n, q, m)
+        x = 0
+        for c, tau in zip(coeffs, tower.basis):
+            x = E.add(x, E.mul(c, tau))
+        table[x] = coeffs
+    return table
+
+
+@pytest.mark.parametrize("tower", LAW_TOWERS,
+                         ids=lambda t: f"GF({t.order})/GF({t.q})")
+def test_memoized_coords_equal_the_direct_map(tower):
+    expected = _coords_by_solving(tower)
+    assert len(expected) == tower.order
+    cold = pickle.loads(pickle.dumps(tower))
+    blob = pickle.dumps(cold)
+    for x in range(tower.order):
+        got = cold.to_coords(x)
+        assert type(got) is tuple and got == expected[x]
+        assert cold.to_coords(x) is got  # the second call is the memo's
+    # a warm memo is not part of the pickle, and a copy rebuilds it
+    assert pickle.dumps(cold) == blob
+    again = pickle.loads(blob)
+    assert [again.to_coords(x) for x in range(tower.order)] == \
+        [expected[x] for x in range(tower.order)]
+    with pytest.raises(ValueError):
+        again.to_coords(tower.order)

@@ -130,6 +130,29 @@ def test_cutting_routes_agree_exhaustive_gf4_k2():
                 assert len(set(verdicts)) == 1
 
 
+def _prop21_reflattening(tower, k, s, r):
+    """The prop21 route as it was, flattening every E-line once per W."""
+    for wsub in enumerate_subspaces(tower, "E", k, k - r - 1):
+        sw = s.sum(flatten_subspace(wsub))
+        for isub in enumerate_subspaces(tower, "E", k, 1):
+            if sw.intersection_dim(flatten_subspace(isub)) == 0:
+                return False, isub
+    return True, None
+
+
+def test_prop21_keeps_verdict_and_refuting_line():
+    cases = [(GF4, 2, s) for d in range(5)
+             for s in enumerate_subspaces(GF4, "F", 4, d)]
+    rng = random.Random(149)
+    cases += [(GF8, 3, random_fsub(GF8, 3, rng.randrange(10), rng))
+              for _ in range(12)]
+    for tower, k, s in cases:
+        for r in range(k):
+            got = is_cutting(tower, k, s, r, route="prop21")
+            assert (got.verdict, got.refuting) == \
+                _prop21_reflattening(tower, k, s, r)
+
+
 def test_cutting_refutation_recheckable():
     s2 = fspan(GF4, 2, [(1, 0), (0, 1)])
     v = is_cutting(GF4, 2, s2, 1, route="definition")

@@ -191,6 +191,24 @@ def test_constant_weight_class_examples():
     assert not rep3.is_constant and len(rep3.weights_seen) == 2
 
 
+def test_constant_weight_class_keeps_the_subcode_weight_oracle():
+    # weights_seen runs over the (k-r)-dim E-subspaces M; the old route took
+    # subcode_weight over the r-dim B, and B -> Bdd is a bijection onto them
+    def oracle(code, r):
+        return sorted({subcode_weight(code, b)
+                       for b in subcode_spaces(code, r)})
+
+    for code in all_codes(GF4, 4, 2):
+        assert constant_weight_class(code, 1).weights_seen == oracle(code, 1)
+    rng = random.Random(139)
+    for tower in (GF8, make_field(3, 2)):
+        for _ in range(6):
+            code = random_code(tower, rng.randrange(3, 6), 3, rng)
+            for r in (1, 2):
+                assert constant_weight_class(code, r).weights_seen == \
+                    oracle(code, r)
+
+
 def test_eight_minimality_conditions_agree():
     """All eight characterizations of sigma-minimal subcodes agree."""
     rng = random.Random(131)
