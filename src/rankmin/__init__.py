@@ -23,6 +23,7 @@ from .geometry import (
     CuttingVerdict,
     PreconditionViolated,
     avoid_complement,
+    avoid_set,
     is_cutting,
     is_evasive,
     linearity_index,
@@ -73,8 +74,8 @@ __all__ = [
     "CertificateError", "CountReport", "CuttingVerdict", "FieldTower",
     "MethodInapplicable", "MinimalityVerdict", "NonIrreducible",
     "OmegaBounds", "PreconditionViolated", "RankCode", "Subspace",
-    "SuiteReport", "UnknownSuite", "avoid_complement", "census_codes",
-    "chi", "chi_code", "column_support",
+    "SuiteReport", "UnknownSuite", "avoid_complement", "avoid_set",
+    "census_codes", "chi", "chi_code", "column_support",
     "constant_weight_class", "count_r_minimal", "drop_weight_subcode",
     "enumerate_subspaces", "evasive_bound_certifies", "flatten_subspace",
     "grw", "grw_sequence", "is_cutting", "is_evasive", "is_r_minimal",

@@ -10,7 +10,7 @@ the one-dimensional-meeting characterization are kept as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .fields import FieldTower, int_to_digits
 from .linalg import (
@@ -74,6 +74,14 @@ def is_evasive(tower: FieldTower, k: int, j: Subspace, h: int, t: int,
 # ---------------------------------------------------------------------------
 
 
+def cutting_evasive_params(m: int, k: int, r: int, d: int) -> Tuple[int, int]:
+    """(h, t) = (k-r-1, d-mr-1): a d-dimensional F-subspace of E^[k] is a
+    cutting r-blocking set iff it is (h,t)-evasive.  Needs 0 <= r <= k-1."""
+    if not 0 <= r <= k - 1:
+        raise ValueError(f"r={r} outside 0..{k - 1}")
+    return k - r - 1, d - m * r - 1
+
+
 def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
                route: str = "evasive") -> CuttingVerdict:
     """Is the F-subspace S a cutting r-blocking set of E^[k]?
@@ -84,8 +92,7 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
     (k-r-1, dim_F(S)-mr-1)-evasiveness; ``all`` runs the three and insists
     they agree.
     """
-    if not 0 <= r <= k - 1:
-        raise ValueError(f"r={r} outside 0..{k - 1}")
+    h, t = cutting_evasive_params(tower.m, k, r, s.dim)
     if s.level_name != "F" or s.ambient != k * tower.m:
         raise ValueError("S must be an F-subspace of the flattened E^[k]")
     if route == "all":
@@ -114,8 +121,7 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
                     return CuttingVerdict(False, route, isub)
         return CuttingVerdict(True, route)
     if route == "evasive":
-        ok, refuting = is_evasive(tower, k, s, k - r - 1,
-                                  s.dim - tower.m * r - 1)
+        ok, refuting = is_evasive(tower, k, s, h, t)
         return CuttingVerdict(ok, route, refuting)
     raise ValueError(f"unknown cutting route {route!r}")
 
@@ -210,20 +216,16 @@ def _first_avoiding(tower: FieldTower, k: int, cur: set) -> Tuple[int, ...]:
     raise PreconditionViolated("no avoiding vector exists")
 
 
-def avoid_complement(tower: FieldTower, k: int,
-                     h: Union[Subspace, Sequence[Sequence[int]]],
-                     t: int, dual: bool = False) -> Subspace:
+def avoid_complement(tower: FieldTower, k: int, h: Subspace, t: int,
+                     dual: bool = False) -> Subspace:
     """Complement-avoidance inside E^[k].
 
     For an F-subspace H (given flattened) with dim_F(H) <= mt, returns an
     E-subspace V with dim_E(V) = k - t and H cap V = {0}.  With
     ``dual=True`` and dim_F(H) >= mt, returns W with dim_E(W) = k - t and
-    H + W = E^[k].  A plain list of E^[k] vectors is routed through the
-    greedy set construction (which returns dimension t instead).
+    H + W = E^[k].  For a set of E^[k] vectors use ``avoid_set``.
     """
     m = tower.m
-    if not isinstance(h, Subspace):
-        return avoid_set(tower, k, h, t)
     if h.level_name != "F" or h.ambient != k * m:
         raise ValueError("H must be an F-subspace of the flattened E^[k]")
     if not 0 <= t <= k:

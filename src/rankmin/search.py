@@ -1,17 +1,19 @@
 """Exhaustive, certificate-producing searches: minimal cutting-set
 dimensions, code censuses and maximal evasive dimensions.
 
-The minimal-length search walks subspace dimensions upward from the best
-rule-based lower bound.  A result is certified by a witness subspace at
-dimension d plus an exhaustion record at d-1; the d-1 sweep always runs,
-even when the rule interval is already a point, so the value never rests
-on the closed-form bounds alone.
+Both dimension searches run one sweep of the d-dimensional F-subspaces of
+E^[k] for an (h,t)-evasive one.  A cutting r-blocking set is the case
+(k-r-1, d-mr-1), swept upward from the best rule-based lower bound; the
+maximal evasive dimension sweeps a fixed (h, t) downward from km.  A
+minimal length is certified by a witness at dimension d plus an exhaustion
+record at d-1, which always runs, so the value never rests on the
+closed-form bounds alone.
 
-For h = k-r-1 = 1 the cutting test runs on packed rows over every tower
+For h = 1 the evasiveness test runs on packed rows over every tower
 GF(p^(em))/GF(p^e) whose F^(km) fits a line table: every nonzero vector
 of F^(km) lies on exactly one E-line, so a candidate fails as soon as
-some line has seen more than q^t - 1 of its span elements.  Everything
-else goes through the generic deciders.  The line kernel counts the
+some line has seen more than q^t - 1 of its span elements.  Other h go
+through the generic decider ``is_evasive``.  The line kernel counts the
 order of ``linalg.walk_fills`` in place on packed rows, because stepping
 the shared walk costs more than its line test of a candidate.
 
@@ -19,8 +21,9 @@ Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
 thread or by a fork pool whose workers inherit the scan context; results
 merge by sum / earliest-witness, so the outcome is independent of worker
-count and scheduling.  No symmetry reduction is applied: exhaustion totals
-are raw subspace counts and must equal the q-binomial.
+count and scheduling.  No symmetry reduction is applied: the total of
+every exhausted dimension, in either search, is a raw subspace count and
+must equal the q-binomial.
 
 Checks that guard a certified answer raise CertificateError explicitly, so
 they hold under ``python -O`` too.
@@ -45,7 +48,7 @@ from .combinatorics import (
     qbinom,
 )
 from .fields import FieldTower, digits_to_int, int_to_digits
-from .geometry import is_cutting, is_evasive
+from .geometry import cutting_evasive_params, is_cutting, is_evasive
 from .linalg import (
     ENUM_ORDER_TAG,
     CertificateError,
@@ -83,7 +86,6 @@ class Certificate:
     exhaustion: Optional[dict] = None
     enum_order: str = ENUM_ORDER_TAG
     schema_version: int = SCHEMA_VERSION
-    note: Optional[str] = None
 
     def to_json(self) -> dict:
         obj = {
@@ -98,8 +100,6 @@ class Certificate:
             obj["witness"] = self.witness
         if self.exhaustion is not None:
             obj["exhaustion"] = self.exhaustion
-        if self.note:
-            obj["note"] = self.note
         return obj
 
 
@@ -194,18 +194,14 @@ class _LineTable:
             for c in range(ncols))
 
 
-_LINE_TABLES: Dict[Tuple[FieldTower, int], _LineTable] = {}
-
-
+# A command scans one (tower, k): keep only its table (up to about 160 MB).
+@functools.lru_cache(maxsize=1)
 def _line_table(tower: FieldTower, k: int) -> _LineTable:
-    key = (tower, k)
-    if key not in _LINE_TABLES:
-        _LINE_TABLES[key] = _LineTable(tower, k)
-    return _LINE_TABLES[key]
+    return _LineTable(tower, k)
 
 
 # ---------------------------------------------------------------------------
-# Scanning one dimension for cutting r-blocking sets.
+# Scanning one dimension for (h,t)-evasive subspaces.
 # ---------------------------------------------------------------------------
 
 
@@ -226,13 +222,13 @@ def _units(ambient: int, d: int, order: int,
             yield pivots, lo, min(lo + _FILL_CHUNK, nfill)
 
 
-def _scan_unit_line(table: _LineTable, r: int, d: int,
+def _scan_unit_line(table: _LineTable, t: int,
                     pivots: Tuple[int, ...], lo: int, hi: int,
                     stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
-    """Scan one unit with the E-line test (h = k - r - 1 = 1).
+    """Scan one unit with the E-line test (h = 1).
 
-    S is cutting iff <S>_E = E^k and no E-line holds more than q^t - 1
-    nonzero elements of S, t = d - mr - 1.  The nonzero elements are walked
+    S is (1,t)-evasive iff <S>_E = E^k and no E-line holds more than
+    q^t - 1 nonzero elements of S.  The nonzero elements are walked
     in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
     (beta_j = x^j, a GF(p)-basis of F): step i adds generator v_p(i), so
     each element costs one vector add and one line lookup.
@@ -242,10 +238,9 @@ def _scan_unit_line(table: _LineTable, r: int, d: int,
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
     ambient = table.k * m
-    t = d - m * r - 1
     if t <= 0:
-        # too small to cut: for t = 0 a line through any nonzero element
-        # of S already holds more than q^0 - 1 = 0 of them
+        # nothing is evasive: a line through any nonzero element of S
+        # holds more than q^t - 1 <= 0 of them, and S = 0 spans nothing
         return hi - lo, None
     # A row is held as its e scalings beta_j * row side by side, block j
     # from bit j * block on.  Every slot holds exactly one digit, so
@@ -271,7 +266,7 @@ def _scan_unit_line(table: _LineTable, r: int, d: int,
     split = [j * block for j in range(e)]
     low_block = (1 << block) - 1
     walk = []
-    for i in range(1, p ** (d * e)):
+    for i in range(1, p ** (len(pivots) * e)):
         j = 0
         while i % p == 0:
             i //= p
@@ -344,7 +339,7 @@ def _scan_unit_line(table: _LineTable, r: int, d: int,
     return visited, witness
 
 
-def _scan_unit_generic(tower: FieldTower, k: int, r: int, d: int,
+def _scan_unit_generic(tower: FieldTower, k: int, h: int, t: int,
                        pivots: Tuple[int, ...], lo: int, hi: int,
                        stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
     ambient = k * tower.m
@@ -353,17 +348,17 @@ def _scan_unit_generic(tower: FieldTower, k: int, r: int, d: int,
     for rows in walk_fills(pivots, ambient, tower.q, lo, hi):
         sub = Subspace(tower, "F", ambient, rows, pivots)
         visited += 1
-        if witness is None and is_cutting(tower, k, sub, r).verdict:
+        if witness is None and is_evasive(tower, k, sub, h, t)[0]:
             witness = sub.rows
             if stop_at_first:
                 return visited, witness
     return visited, witness
 
 
-def scan_kernel(tower: FieldTower, k: int, r: int) -> str:
-    """The kernel scan_dimension runs for (tower, k, r): ``"line"`` when
-    h = k - r - 1 = 1 and F^(km) fits a line table, else ``"generic"``."""
-    if k - r - 1 == 1 and tower.q ** (k * tower.m) <= _LINE_TABLE_LIMIT:
+def scan_kernel(tower: FieldTower, k: int, h: int) -> str:
+    """The kernel an (h,t)-evasive scan of E^[k] runs: ``"line"`` when
+    h = 1 and F^(km) fits a line table, else ``"generic"``."""
+    if h == 1 and tower.q ** (k * tower.m) <= _LINE_TABLE_LIMIT:
         return "line"
     return "generic"
 
@@ -382,7 +377,19 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
                    shards: int = 1, shard_index: int = 0,
                    budget: Optional[int] = None) -> ScanResult:
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
-    set, in enumeration order.  Deterministic for any thread count."""
+    set: the evasive scan at (h, t) = (k-r-1, d-mr-1)."""
+    h, t = cutting_evasive_params(tower.m, k, r, d)
+    return _scan_evasive(tower, k, h, t, d, stop_at_first, threads,
+                         shards, shard_index, budget)
+
+
+def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
+                  stop_at_first: bool = True, threads: int = 1,
+                  shards: int = 1, shard_index: int = 0,
+                  budget: Optional[int] = None) -> ScanResult:
+    """Scan every d-dimensional F-subspace of E^[k] for an (h,t)-evasive
+    one, in enumeration order.  Deterministic for any thread count.  The
+    budget is checked after each work unit, whose witness still counts."""
     global _UNIT_WORKER
     if not 0 <= shard_index < shards:
         raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
@@ -391,13 +398,13 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
     units = _units(ambient, d, tower.q, shards, shard_index)
     head = list(itertools.islice(units, 2))
     units = itertools.chain(head, units)
-    if scan_kernel(tower, k, r) == "line":
+    if scan_kernel(tower, k, h) == "line":
         _UNIT_WORKER = functools.partial(
-            _scan_unit_line, _line_table(tower, k), r, d,
+            _scan_unit_line, _line_table(tower, k), t,
             stop_at_first=stop_at_first)
     else:
         _UNIT_WORKER = functools.partial(
-            _scan_unit_generic, tower, k, r, d, stop_at_first=stop_at_first)
+            _scan_unit_generic, tower, k, h, t, stop_at_first=stop_at_first)
     visited_total = 0
     witness: Optional[Subspace] = None
     with contextlib.ExitStack() as stack:
@@ -437,20 +444,15 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     dimension scans) or when ``dim_cap`` stops the sweep below the rule
     upper bound; a cap below the rule lower bound is a ValueError.
     """
-    if k < r + 1:
-        raise ValueError("need k >= r + 1")
     m = tower.m
     bounds = omega_bounds(m, k, r)
     if dim_cap is not None and dim_cap < bounds.lower:
         raise ValueError(f"dim cap {dim_cap} is below the rule lower bound "
                          f"{bounds.lower}")
-    ambient = k * m
-    hard_cap = min(dim_cap if dim_cap is not None else ambient,
-                   ambient)
+    hard_cap = k * m if dim_cap is None else min(dim_cap, k * m)
     spec = tower.spec_string()
     visited_total = 0
     certs: List[Certificate] = []
-    exhaust_results: Dict[int, ScanResult] = {}
     deadline = (None if time_budget_s is None
                 else time.monotonic() + time_budget_s)
 
@@ -468,29 +470,24 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
             raise BudgetExceeded(d, bounds.upper, certs) from None
         visited_total += res.visited
         if res.witness is None:
-            exhaust_results[d] = res
             certs.append(_exhaustion_certificate(tower, spec, k, r, d, res))
             d += 1
             continue
-        # witness found at d: make sure d-1 was exhausted
+        # witness found at d: make sure d-1 was exhausted (every rule puts
+        # bounds.lower >= k >= 1, so d-1 is a dimension)
         witness_cert = _witness_certificate(tower, spec, k, r, d, res.witness)
-        exhaustion_cert = None
-        if d - 1 >= 0:
-            if d - 1 in exhaust_results:
-                exhaustion_cert = certs[-1]
-            else:
-                remaining = (None if budget is None
-                             else budget - visited_total)
-                below = scan_dimension(tower, k, r, d - 1,
-                                       stop_at_first=False, threads=threads,
-                                       budget=remaining)
-                visited_total += below.visited
-                if below.witness is not None:
-                    raise CertificateError("witness below the rule lower "
-                                           "bound: bounds are wrong")
-                exhaustion_cert = _exhaustion_certificate(
-                    tower, spec, k, r, d - 1, below)
-                certs.append(exhaustion_cert)
+        if d > bounds.lower:
+            exhaustion_cert = certs[-1]
+        else:
+            remaining = None if budget is None else budget - visited_total
+            below = scan_dimension(tower, k, r, d - 1, stop_at_first=False,
+                                   threads=threads, budget=remaining)
+            visited_total += below.visited
+            if below.witness is not None:
+                raise CertificateError("witness below the rule lower "
+                                       "bound: bounds are wrong")
+            exhaustion_cert = _exhaustion_certificate(
+                tower, spec, k, r, d - 1, below)
         if not bounds.lower <= d <= bounds.upper:
             raise CertificateError("computed value escapes the rule interval")
         return OmegaResult(
@@ -511,8 +508,7 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
 def _witness_certificate(tower: FieldTower, spec: str, k: int, r: int,
                          d: int, witness: Subspace) -> Certificate:
     # re-verify through the public decider before certifying
-    verdict = is_cutting(tower, k, witness, r)
-    if not verdict.verdict:
+    if not is_cutting(tower, k, witness, r).verdict:
         raise CertificateError("witness failed re-verification")
     return Certificate(
         kind="witness", tower_spec=spec, target="omega",
@@ -521,12 +517,17 @@ def _witness_certificate(tower: FieldTower, spec: str, k: int, r: int,
     )
 
 
-def _exhaustion_certificate(tower: FieldTower, spec: str, k: int, r: int,
-                            d: int, res: ScanResult) -> Certificate:
-    expected = qbinom(tower.q, k * tower.m, d)
+def _check_exhausted(tower: FieldTower, k: int, res: ScanResult) -> None:
+    """An exhausted sweep visits every subspace of its dimension in F^(km)."""
+    expected = qbinom(tower.q, k * tower.m, res.dimension)
     if res.visited != expected:
         raise CertificateError(
             f"exhaustion visited {res.visited} != {expected}")
+
+
+def _exhaustion_certificate(tower: FieldTower, spec: str, k: int, r: int,
+                            d: int, res: ScanResult) -> Certificate:
+    _check_exhausted(tower, k, res)
     return Certificate(
         kind="exhaustion", tower_spec=spec, target="omega",
         params={"k": k, "r": r, "dimension": d},
@@ -555,36 +556,31 @@ def census_codes(tower: FieldTower, n: int, k: int,
     if budget is not None and total > budget:
         raise BudgetExceeded(0, total, [])
     m = tower.m
-    counts: Dict[str, int] = {"total": 0}
+    seen = minimal = constant = 0
     weight_dist: Dict[int, int] = {}
-    minimal = 0
-    constant = 0
     for sub in enumerate_subspaces(tower, "E", n, k):
         code = RankCode(tower, n, sub.rows)
-        counts["total"] += 1
+        seen += 1
         wt = weight(code)
         weight_dist[wt] = weight_dist.get(wt, 0) + 1
-        if r is not None:
-            ok = is_r_minimal(code, r).verdict if 0 < r < k else True
-            if ok:
-                minimal += 1
-        if constant_weight_r is not None and k >= 2:
-            rep = constant_weight_class(code, constant_weight_r)
-            if rep.is_constant:
-                constant += 1
-    if counts["total"] != total:
-        raise CertificateError(
-            f"census visited {counts['total']} codes, expected {total}")
+        # r = 0 and r >= k are vacuous: every code is r-minimal
+        if r is not None and (not 0 < r < k
+                              or is_r_minimal(code, r).verdict):
+            minimal += 1
+        if (constant_weight_r is not None and k >= 2 and
+                constant_weight_class(code, constant_weight_r).is_constant):
+            constant += 1
+    if seen != total:
+        raise CertificateError(f"census visited {seen} codes, expected {total}")
     report = CountReport(
         inputs={"q": tower.q, "m": m, "n": n, "k": k,
                 **({"r": r} if r is not None else {})},
-        counts={"total": counts["total"],
-                "weight_distribution": weight_dist},
+        counts={"total": seen, "weight_distribution": weight_dist},
         formulas={"total_formula": total},
     )
     if r is not None:
         report.counts["r_minimal"] = minimal
-        report.counts["not_r_minimal"] = counts["total"] - minimal
+        report.counts["not_r_minimal"] = seen - minimal
         if k == r + 1:
             report.formulas["r_minimal_formula"] = count_r_minimal(
                 tower.q, m, n, r)
@@ -603,33 +599,35 @@ def census_codes(tower: FieldTower, n: int, k: int,
 def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
                     budget: Optional[int] = None,
                     ) -> Tuple[Optional[int], Optional[Subspace]]:
-    """Largest dim_F of an (h,t)-evasive subspace of E^[k], by descending
-    dimension with early exit; None when no such subspace exists."""
+    """Largest dim_F of an (h,t)-evasive subspace of E^[k] and its earliest
+    witness, or (None, None): omega's scan, on one thread, descends from km,
+    and every dimension above the answer is checked exhausted."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not 0 <= h <= k:
+        raise ValueError(f"h={h} outside 0..{k}")
     m = tower.m
-    ambient = k * m
     visited = 0
-    for d in range(ambient, -1, -1):
-        for sub in enumerate_subspaces(tower, "F", ambient, d):
-            visited += 1
-            if budget is not None and visited > budget:
-                raise BudgetExceeded(0, d, [])
-            ok, _ = is_evasive(tower, k, sub, h, t)
-            if ok:
-                _check_evasive_caps(m, k, h, t, d)
-                return d, sub
+    for d in range(k * m, -1, -1):
+        remaining = None if budget is None else budget - visited
+        try:
+            res = _scan_evasive(tower, k, h, t, d, budget=remaining)
+        except BudgetExceeded:
+            raise BudgetExceeded(0, d, []) from None
+        visited += res.visited
+        if res.witness is not None:
+            _check_evasive_caps(m, k, h, t, d)
+            return d, res.witness
+        _check_exhausted(tower, k, res)
     return None, None
 
 
 def _check_evasive_caps(m: int, k: int, h: int, t: int, d: int) -> None:
-    if t == h and d >= k + 1 and h <= k:
-        if d > k * m // (h + 1):
-            raise CertificateError("evasive dimension beats the cap")
-    if h <= k:
-        # the corollary bound applies when t = 2k - lam - s for lam = k - h
-        lam = k - h
-        s = 2 * k - lam - t
-        cap = corollary_52_bound(m, k, lam, s)
-        if cap is not None and d > cap:
-            raise CertificateError("evasive dimension beats the corollary cap")
+    """The closed-form caps on an evasive dimension; needs 0 <= h <= k."""
+    if t == h and d >= k + 1 and d > k * m // (h + 1):
+        raise CertificateError("evasive dimension beats the cap")
+    # the corollary bound applies when t = 2k - lam - s for lam = k - h
+    lam = k - h
+    cap = corollary_52_bound(m, k, lam, 2 * k - lam - t)
+    if cap is not None and d > cap:
+        raise CertificateError("evasive dimension beats the corollary cap")

@@ -710,12 +710,11 @@ def run_suite(name: str, trials: int = 200, seed: int = 0,
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: "
                            + ", ".join(suite_names()))
+    if trials < 0:
+        raise ValueError(f"trials={trials} must be nonnegative")
     towers = list(towers) if towers else default_towers()
     t0 = time.monotonic()
-    if trials <= 0:
-        results: List[PropertyResult] = []
-    else:
-        results = _SUITES[name](towers, trials, seed)
+    results = _SUITES[name](towers, trials, seed) if trials else []
     report = SuiteReport(name, seed, trials, results)
     report.wall_time_ms = int((time.monotonic() - t0) * 1000)
     return report

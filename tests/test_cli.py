@@ -262,10 +262,15 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
     ["field", "--field", "p=2,e=0,m=2"],                   # e = 0
     ["census", "--field", GF8, "--n", "4", "--k", "2", "--r", "-1"],
     ["evasive-max", "--field", GF4, "--k", "-2", "--h", "1", "--t", "1"],
+    ["evasive-max", "--field", GF4, "--k", "0", "--h", "1", "--t", "1"],
     ["omega", "--field", "p=2,e=1,m=3", "--k", "3", "--r", "1",
      "--dim-cap", "5"],                                    # below lower 6
     ["omega", "--field", "p=2,e=1,m=3", "--k", "3", "--r", "1",
      "--dim-cap", "-1"],
+    ["omega", "--field", GF4, "--k", "1", "--r", "-1", "--scan-dim", "1",
+     "--threads", "1", "--json"],                          # line kernel
+    ["verify", "--suite", "lemma21", "--trials", "-5", "--strict",
+     "--json"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

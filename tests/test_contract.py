@@ -223,6 +223,40 @@ PINNED = [
 ]
 
 
+# evasive-max on the line kernel (h = 1), on the generic kernel (h = 2 and
+# h = 0) and out of budget; pinned before evasive-max ran on the scan
+# kernels, whose budget is checked per work unit instead of per candidate
+EVASIVE_MAX_ARGVS = [
+    ["evasive-max", "--field", GF4, "--k", "3", "--h", "1", "--t", "1",
+     "--json"],
+    ["evasive-max", "--field", GF9, "--k", "2", "--h", "1", "--t", "1",
+     "--json"],
+    ["evasive-max", "--field", GF4, "--k", "1", "--h", "1", "--t", "1",
+     "--json"],
+    ["evasive-max", "--field", GF4, "--k", "3", "--h", "2", "--t", "3",
+     "--json"],
+    ["evasive-max", "--field", GF4, "--k", "2", "--h", "0", "--t", "0",
+     "--json"],
+    ["evasive-max", "--field", GF4, "--k", "3", "--h", "1", "--t", "1",
+     "--budget", "5", "--json"],
+]
+
+EVASIVE_MAX_PINNED = [
+    ("94ed5a1cef676df54bcd0a0080b980f978c06608e6a5cf707602ec0facaf8f4d",
+     None, 0),
+    ("7f0e7d6d3400c357e5e818e22b00c01d042ed197e240802c860a706868f6a328",
+     None, 0),
+    ("b5af9d5d135beefc7c2a6a723ab1992a75c5bd51f93f728fea77f8404a84f5f0",
+     None, 0),
+    ("3ac6d7ebd3e54dda7bda77c461a4a0fe3c4aa7b51016f1e1579369c519596e38",
+     None, 0),
+    ("1570e40172b8be051efb75eadb4d2e4cb73d54989db4f3b76ecb38e80dbcf3f8",
+     None, 0),
+    ("f2e2ce802a46ac465cec3e72ffdc86139a7dcdad4097a3803f21a9a03c839ced",
+     None, 3),
+]
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -245,10 +279,13 @@ def _id(argv):
 
 def test_every_argv_pinned():
     assert len(PINNED) == len(ARGVS)
+    assert len(EVASIVE_MAX_PINNED) == len(EVASIVE_MAX_ARGVS)
 
 
-@pytest.mark.parametrize("argv, pinned", zip(ARGVS, PINNED),
-                         ids=[f"{i}-{_id(a)}" for i, a in enumerate(ARGVS)])
+@pytest.mark.parametrize(
+    "argv, pinned",
+    zip(ARGVS + EVASIVE_MAX_ARGVS, PINNED + EVASIVE_MAX_PINNED),
+    ids=[f"{i}-{_id(a)}" for i, a in enumerate(ARGVS + EVASIVE_MAX_ARGVS)])
 def test_contract(argv, pinned, tmp_path, capsys):
     assert contract_result(argv, str(tmp_path / "cert.json"), capsys) \
         == pinned

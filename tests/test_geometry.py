@@ -6,6 +6,7 @@ from rankmin.fields import make_field
 from rankmin.geometry import (
     PreconditionViolated,
     avoid_complement,
+    avoid_set,
     is_cutting,
     is_evasive,
     linearity_index,
@@ -251,11 +252,11 @@ def test_avoid_complement_precondition_errors():
 def test_avoid_set_prop41():
     # H = nonzero multiples of (1,0) plus 0: a set, not an F-subspace
     hset = [(0, 0), (1, 0), (W, 0), (3, 0)]
-    out = avoid_complement(GF4, 2, hset, 1)
+    out = avoid_set(GF4, 2, hset, 1)
     assert out.dim == 1
     hset2 = [(0, 0), (1, 1), (W, 1)]
-    out2 = avoid_complement(GF4, 2, hset2, 1)
+    out2 = avoid_set(GF4, 2, hset2, 1)
     assert out2.dim == 1
     # t = k is impossible as soon as H has a nonzero vector
     with pytest.raises(PreconditionViolated):
-        avoid_complement(GF4, 2, [(0, 0), (1, 1)], 2)
+        avoid_set(GF4, 2, [(0, 0), (1, 1)], 2)

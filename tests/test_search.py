@@ -9,9 +9,10 @@ import pytest
 
 import rankmin
 from rankmin import search, suites
+from rankmin.cli import run_command
 from rankmin.combinatorics import qbinom
 from rankmin.fields import int_to_digits, make_field
-from rankmin.geometry import is_cutting, is_evasive
+from rankmin.geometry import cutting_evasive_params, is_cutting, is_evasive
 from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
                             walk_fills)
 from rankmin.search import (
@@ -129,14 +130,15 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
     Returns the number of cutting candidates seen."""
     table = search._line_table(tower, k)
     ambient = k * tower.m
+    _, t = cutting_evasive_params(tower.m, k, r, d)
     cutting = 0
     pivot_sets = itertools.combinations(range(ambient), d)
     for pivots in itertools.islice(pivot_sets, 0, None, pivot_step):
         cells = free_cells(pivots, ambient)
         x, hi = 0, min(tower.q ** len(cells), per_pivot_set)
         while x < hi:
-            visited, rows = search._scan_unit_line(table, r, d, pivots, x, hi,
-                                                   stop_at_first=True)
+            visited, rows = search._scan_unit_line(
+                table, t, pivots, x, hi, stop_at_first=True)
             assert visited == hi - x or rows is not None
             candidates = walk_fills(pivots, ambient, tower.q, x, x + visited)
             for fill, cand in enumerate(candidates, x):
@@ -198,8 +200,9 @@ def test_line_table_partitions_into_e_lines(tower, k):
 
 def test_scan_kernel_choice():
     assert search.scan_kernel(GF9, 3, 1) == "line"
-    assert search.scan_kernel(GF16_OVER_GF4, 2, 0) == "line"
-    assert search.scan_kernel(GF9, 4, 1) == "generic"          # h = 2
+    assert search.scan_kernel(GF16_OVER_GF4, 2, 1) == "line"
+    assert search.scan_kernel(GF9, 4, 2) == "generic"
+    assert search.scan_kernel(GF9, 2, 0) == "generic"
     # 2^24 vectors of F^(km) exceed the line-table limit
     assert search.scan_kernel(make_field(2, 8), 3, 1) == "generic"
 
@@ -243,6 +246,59 @@ def test_census_weight2_codes_are_support_codes():
         assert weight(mu) == 2
         count += 1
     assert count == 7
+
+
+def _first_evasive_by_dim(tower, k, h, t):
+    """Oracle: for every d = km..0, the rows of the first (h,t)-evasive
+    d-dimensional subspace in enumeration order, or None.  This is the loop
+    max_evasive_dim ran, one ``is_evasive`` call per subspace, before it
+    moved onto the scan kernels."""
+    ambient = k * tower.m
+    return {d: next((sub.rows
+                     for sub in enumerate_subspaces(tower, "F", ambient, d)
+                     if is_evasive(tower, k, sub, h, t)[0]), None)
+            for d in range(ambient, -1, -1)}
+
+
+def _rows(sub):
+    return None if sub is None else sub.rows
+
+
+@pytest.mark.parametrize("tower, max_k", [
+    (GF4, 3), (make_field(2, 3, basis=[1, 3, 7]), 2), (GF9, 2),
+    (GF16_OVER_GF4, 2)], ids=["gf4", "gf8-basis", "gf9", "gf16-over-gf4"])
+def test_evasive_scan_agrees_with_enumeration_oracle(tower, max_k):
+    # every h and every t from "nothing is evasive" to "vacuous", on the
+    # line kernel (h = 1) and the generic one; each dimension is compared,
+    # not only the answer, so survivors below it are checked too
+    for k in range(max_k + 1):
+        for h in range(k + 1):
+            for t in range(-1, h * tower.m + 1):
+                first = _first_evasive_by_dim(tower, k, h, t)
+                for d, rows in first.items():
+                    wit = search._scan_evasive(tower, k, h, t, d).witness
+                    assert _rows(wit) == rows, (k, h, t, d)
+                top = max((d for d, rows in first.items() if rows is not None),
+                          default=None)
+                dim, wit = max_evasive_dim(tower, k, h, t)
+                assert (dim, _rows(wit)) == (top, first.get(top)), (k, h, t)
+
+
+def test_max_evasive_miscounted_scan_exits_4(capsys, monkeypatch):
+    # a sweep that loses a candidate must not pass as exhausted
+    scan = search._scan_evasive
+
+    def lossy(*args, **kwargs):
+        res = scan(*args, **kwargs)
+        res.visited -= 1
+        return res
+
+    monkeypatch.setattr(search, "_scan_evasive", lossy)
+    code = run_command([
+        "evasive-max", "--field", "p=2,e=1,m=2,ext=1,1,1", "--k", "2",
+        "--h", "1", "--t", "1", "--json"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: exhaustion visited")
 
 
 def test_max_evasive_examples():
