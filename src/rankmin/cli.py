@@ -95,7 +95,10 @@ def _emit(args, obj: dict, text: str) -> None:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, "
+                             f"got {args.threads}")
         return args.threads
     env = os.environ.get("RANKMIN_THREADS")
     if env:

@@ -20,6 +20,7 @@ from .linalg import (
     espan_of_flat,
     flatten_subspace,
     flatten_vector,
+    meet_dims,
 )
 
 
@@ -58,15 +59,11 @@ def is_evasive(tower: FieldTower, k: int, j: Subspace, h: int, t: int,
         raise ValueError(f"h={h} outside 0..{k}")
     if espan_of_flat(j).dim != k:
         return False, None
-    if h == 0:
-        return (t >= 0), (None if t >= 0 else Subspace.zero(tower, "E", k))
     if t >= h * tower.m:
         return True, None  # dim_F(M) = hm already caps the intersection
-    for msub in enumerate_subspaces(tower, "E", k, h):
-        flat = flatten_subspace(msub)
-        if j.intersection_dim(flat) > t:
-            return False, msub
-    return True, None
+    refuting = next((msub for msub, meet in meet_dims(j, h) if meet > t),
+                    None)
+    return refuting is None, refuting
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,23 @@ def flatten_subspace(esub: Subspace) -> Subspace:
     return Subspace(tower, "F", esub.ambient * m, tuple(rows), tuple(pivots))
 
 
+def meet_dims(s: Subspace, h: int) -> Iterator[Tuple[Subspace, int]]:
+    """(M, dim_F(S cap M)) for every h-dimensional E-subspace M of E^k, in
+    ``subspace-enum/1`` order, for an F-subspace S of the flattened F^(km).
+
+    The weight deciders all read this one sweep.  For a code with column
+    span U (so <U>_E = E^k) and a subcode D = {gamma G | gamma in B},
+
+        wt(D) = dim_F(U) - dim_F(Bdd cap U)
+
+    where Bdd, the transposed dual of B, runs over the (k-r)-dimensional
+    E-subspaces as B runs over the r-dimensional subspaces of E^k.
+    """
+    k = s.ambient // s.tower.m
+    for msub in enumerate_subspaces(s.tower, "E", k, h):
+        yield msub, flatten_subspace(msub).intersection_dim(s)
+
+
 def espan_of_flat(fsub: Subspace) -> Subspace:
     """The E-span of a flattened F-subspace, as an E-subspace of E^k."""
     tower = fsub.tower

@@ -23,14 +23,12 @@ from .geometry import is_cutting
 from .linalg import (
     CertificateError,
     Subspace,
-    enumerate_subspaces,
     espan_of_flat,
-    flatten_subspace,
+    meet_dims,
     subspaces_of,
 )
 from .rank_metric import (
     RankCode,
-    chi,
     chi_code,
     column_support,
     drop_weight_subcode,
@@ -38,6 +36,7 @@ from .rank_metric import (
     grw,
     max_subcode_weight,
     subcode_spaces,
+    subcode_support,
     support_code,
     transposed_dual,
 )
@@ -98,10 +97,9 @@ def is_rank_minimal(code: RankCode, b: Subspace, method: str = "criterion",
             verdict.witness = _refute_rank_minimal(code, b)
         return verdict
     if method == "definition":
-        d_code = code.subcode(b)
-        target = chi_code(d_code)
+        target = subcode_support(code, b)
         for other in subcode_spaces(code, b.dim):
-            sup = chi(tower, [code.codeword(g) for g in other.rows], code.n)
+            sup = subcode_support(code, other)
             if target.contains(sup) and sup != target:
                 return MinimalityVerdict(
                     False, method,
@@ -193,13 +191,10 @@ def is_r_minimal(code: RankCode, r: int, method: str = "grw",
 def _r_minimal_definition(code: RankCode, r: int) -> bool:
     """No (r+1)-dimensional subcode shares its support with an r-dimensional
     subcode of it."""
-    tower = code.tower
     for wsub in subcode_spaces(code, r + 1):
-        w_code = code.subcode(wsub)
-        target = chi_code(w_code)
+        target = subcode_support(code, wsub)
         for dsub in subspaces_of(wsub, r):
-            sup = chi(tower, [code.codeword(g) for g in dsub.rows], code.n)
-            if sup == target:
+            if subcode_support(code, dsub) == target:
                 return False
     return True
 
@@ -211,11 +206,9 @@ def _refute_r_minimal(code: RankCode, r: int) -> dict:
     r-dimensional subcode weight inside it already reaches its full
     support.
     """
-    tower, m = code.tower, code.tower.m
     u = column_support(code)
-    for msub in enumerate_subspaces(tower, "E", code.k, code.k - r - 1):
-        flat = flatten_subspace(msub)
-        if u.dim - flat.intersection_dim(u) <= m * r:
+    for msub, meet in meet_dims(u, code.k - r - 1):
+        if u.dim - meet <= code.tower.m * r:
             b = msub.dual()  # Bdd = M
             w_code = code.subcode(b)
             _, d_code = max_subcode_weight(w_code, r)
@@ -233,12 +226,9 @@ def _refute_r_minimal(code: RankCode, r: int) -> dict:
 
 def is_sigma_maximal(code: RankCode, b: Subspace) -> bool:
     """Every equal-dimensional subcode whose support contains chi(D) is D."""
-    tower = code.tower
-    d_code = code.subcode(b)
-    target = chi_code(d_code)
+    target = subcode_support(code, b)
     for other in subcode_spaces(code, b.dim):
-        sup = chi(tower, [code.codeword(g) for g in other.rows], code.n)
-        if sup.contains(target) and other != b:
+        if subcode_support(code, other).contains(target) and other != b:
             return False
     return True
 
@@ -270,14 +260,12 @@ def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
     """Evaluate two equivalent constant-weight conditions and insist they
     agree: all r-dimensional subcodes share one weight, and the column span
     is all of E^[k] (equivalently wt(C) = mk, since wt(C) = dim_F(U))."""
-    tower, m, k = code.tower, code.tower.m, code.k
+    m, k = code.tower.m, code.k
     if k < 2 or not 1 <= r <= k - 1:
         raise ValueError("requires k >= 2 and 1 <= r <= k-1")
-    # B -> Bdd is a bijection onto the (k-r)-dimensional E-subspaces M, so
-    # the r-dimensional subcode weights are dim_F(U) - dim_F(M cap U)
+    # the r-dimensional subcode weights, one per (k-r)-dim E-subspace M
     u = column_support(code)
-    weights = sorted({u.dim - flatten_subspace(msub).intersection_dim(u)
-                      for msub in enumerate_subspaces(tower, "E", k, k - r)})
+    weights = sorted({u.dim - meet for _, meet in meet_dims(u, k - r)})
     cond1 = len(weights) == 1
     cond2 = u.dim == m * k
     if cond1 != cond2:

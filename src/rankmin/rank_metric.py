@@ -3,14 +3,10 @@ codes, together with the extremal subcode constructions used by the
 minimality deciders.
 
 A code C = <rows(G)>_E of length n and dimension k is tied to the
-F-subspace U = <cols(G)>_F of E^[k]: wt(C) = dim_F(U), and every subcode
-D = {gamma G | gamma in B} has
-
-    wt(D) = dim_F(U) - dim_F(Bdd cap U)
-
-where Bdd is the transposed dual of B.  The geometric route below exploits
-that Bdd ranges over all (k-r)-dimensional E-subspaces of E^[k] as B ranges
-over the r-dimensional subspaces of E^k.
+F-subspace U = <cols(G)>_F of E^[k]: wt(C) = dim_F(U).  A subcode's weight
+is read either directly, as the support of its codewords
+(``subcode_support``), or geometrically from U by the dual-intersection
+formula, which is stated once, at ``linalg.meet_dims``.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from .linalg import (
     flatten_subspace,
     flatten_vector,
     mat_vec,
+    meet_dims,
     rref,
     subspaces_of,
 )
@@ -47,12 +44,6 @@ class RankCode:
         self.gen = rows
         self._colspan: Optional[Subspace] = None
 
-    @staticmethod
-    def zero(tower: FieldTower, n: int) -> "RankCode":
-        c = RankCode.__new__(RankCode)
-        c.tower, c.n, c.k, c.gen, c._colspan = tower, n, 0, (), None
-        return c
-
     def as_subspace(self) -> Subspace:
         return Subspace.span(self.tower, "E", self.n, self.gen)
 
@@ -63,17 +54,12 @@ class RankCode:
 
     def subcode(self, b: Subspace) -> "RankCode":
         """The subcode {gamma G | gamma in B} for B <= E^k."""
-        if b.dim == 0:
-            return RankCode.zero(self.tower, self.n)
         return RankCode(self.tower, self.n,
                         [self.codeword(g) for g in b.rows])
 
     def dual(self) -> "RankCode":
         """C^perp under the standard bilinear form."""
-        d = self.as_subspace().dual()
-        if d.dim == 0:
-            return RankCode.zero(self.tower, self.n)
-        return RankCode(self.tower, self.n, d.rows)
+        return RankCode(self.tower, self.n, self.as_subspace().dual().rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RankCode) and self.tower == other.tower
@@ -97,8 +83,6 @@ class RankCode:
     @staticmethod
     def from_json(tower: FieldTower, obj: dict) -> "RankCode":
         rows = decode_rows(obj, "rows", "n", tower.order, tower.decode)
-        if not rows:
-            return RankCode.zero(tower, obj["n"])
         return RankCode(tower, obj["n"], rows)
 
 
@@ -135,6 +119,11 @@ def chi_code(code: RankCode) -> Subspace:
     return chi(code.tower, code.gen, code.n)
 
 
+def subcode_support(code: RankCode, b: Subspace) -> Subspace:
+    """chi of the subcode {gamma G | gamma in B}, from B's codewords."""
+    return chi(code.tower, [code.codeword(g) for g in b.rows], code.n)
+
+
 def weight(code: RankCode) -> int:
     """wt(C) = dim_F(U) with U the column span; cheaper than chi."""
     return column_support(code).dim
@@ -167,11 +156,8 @@ def subcode_weight(code: RankCode, b: Subspace, cross_check: bool = False) -> in
     u = column_support(code)
     bdd = transposed_dual(code.tower, b)
     w = u.dim - bdd.intersection_dim(u)
-    if cross_check:
-        direct = chi(code.tower, [code.codeword(g) for g in b.rows], code.n)
-        if direct.dim != w:
-            raise CertificateError(
-                "dual-intersection weight disagrees with chi")
+    if cross_check and subcode_support(code, b).dim != w:
+        raise CertificateError("dual-intersection weight disagrees with chi")
     return w
 
 
@@ -184,9 +170,10 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     """d_r(C): the minimum support weight over r-dimensional subcodes.
 
     ``geometric`` minimizes dim_F(U) - dim_F(M cap U) over the
-    (k-r)-dimensional E-subspaces M of E^[k]; ``brute`` minimizes the
-    direct support dimension chi of every r-dimensional subcode, without
-    the dual-intersection formula; ``both`` cross-checks the two routes.
+    (k-r)-dimensional E-subspaces M of E^[k] (``meet_dims``); ``brute``
+    minimizes the direct support dimension of every r-dimensional subcode
+    (``subcode_support``), without the dual-intersection formula; ``both``
+    cross-checks the two routes.
     """
     if not 0 <= r <= code.k:
         raise ValueError(f"r={r} outside 0..{code.k}")
@@ -199,22 +186,12 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
             raise CertificateError(f"grw routes disagree: {a} vs {b}")
         return a
     if method == "brute":
-        return min(
-            chi(code.tower, [code.codeword(g) for g in b.rows], code.n).dim
-            for b in enumerate_subspaces(code.tower, "E", code.k, r)
-        )
+        return min(subcode_support(code, b).dim
+                   for b in subcode_spaces(code, r))
     if method != "geometric":
         raise ValueError(f"unknown grw method {method!r}")
     u = column_support(code)
-    best = None
-    for msub in enumerate_subspaces(code.tower, "E", code.k, code.k - r):
-        flat = flatten_subspace(msub)
-        val = u.dim - flat.intersection_dim(u)
-        if best is None or val < best:
-            best = val
-            if best == 0:
-                break
-    return best if best is not None else 0
+    return u.dim - max(meet for _, meet in meet_dims(u, code.k - r))
 
 
 def grw_sequence(code: RankCode, method: str = "geometric") -> List[int]:
@@ -229,8 +206,6 @@ def grw_sequence(code: RankCode, method: str = "geometric") -> List[int]:
 def support_code(tower: FieldTower, w: Subspace) -> RankCode:
     """The E-span of an F-subspace w of F^n, i.e. {alpha : rsupp(alpha) <= w};
     its E-dimension equals dim_F(w)."""
-    if w.dim == 0:
-        return RankCode.zero(tower, w.ambient)
     return RankCode(tower, w.ambient, w.rows)
 
 
@@ -246,8 +221,7 @@ def drop_weight_subcode(code: RankCode) -> RankCode:
     hyper = next(subspaces_of(support, support.dim - 1))
     mu = support_code(code.tower, hyper).as_subspace()
     inter = code.as_subspace().intersect(mu)
-    sub = (RankCode(code.tower, code.n, inter.rows) if inter.dim
-           else RankCode.zero(code.tower, code.n))
+    sub = RankCode(code.tower, code.n, inter.rows)
     if sub.k != code.k - 1 or chi_code(sub).dim >= support.dim:
         raise CertificateError("subcode does not drop the support weight")
     return sub
@@ -274,7 +248,7 @@ def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     wt_c = u.dim
     value = min(m * s, wt_c)
     if s == 0:
-        return 0, RankCode.zero(tower, code.n)
+        return 0, RankCode(tower, code.n, ())
     if m * s <= wt_c:
         # V with U + V = E^[k]: the witness subcode has weight exactly ms
         v = avoid_complement(tower, k, u, s, dual=True)

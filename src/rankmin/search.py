@@ -479,9 +479,14 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
         if d > bounds.lower:
             exhaustion_cert = certs[-1]
         else:
+            # a budget spent here still leaves [d, d]: the rules give the
+            # lower end, and the witness (carried for checking) the upper
             remaining = None if budget is None else budget - visited_total
-            below = scan_dimension(tower, k, r, d - 1, stop_at_first=False,
-                                   threads=threads, budget=remaining)
+            try:
+                below = scan_dimension(tower, k, r, d - 1, stop_at_first=False,
+                                       threads=threads, budget=remaining)
+            except BudgetExceeded:
+                raise BudgetExceeded(d, d, certs + [witness_cert]) from None
             visited_total += below.visited
             if below.witness is not None:
                 raise CertificateError("witness below the rule lower "

@@ -163,7 +163,16 @@ def test_omega_budget_exit(capsys):
                        "--r", "1", "--threads", "1", "--budget", "500",
                        "--json")
     assert code == 3
-    assert json.loads(out)["error"] == "budget-exceeded"
+    obj = json.loads(out)
+    # the budget runs out in the d-1 sweep after a witness at the rule
+    # lower bound: the rules and the witness still pin [6, 6]
+    assert obj["error"] == "budget-exceeded" and obj["bracket"] == [6, 6]
+    [cert] = obj["certificates"]
+    assert cert["kind"] == "witness" and cert["params"]["dimension"] == 6
+    code, out, _ = run(capsys, "cutting", "--field", GF8, "--subspace",
+                       json.dumps(cert["witness"]), "--r", "1", "--route",
+                       "all", "--json")
+    assert code == 0 and json.loads(out)["verdict"] is True
 
 
 def test_omega_dim_cap_below_the_answer_exits_3(capsys, monkeypatch):
@@ -271,6 +280,8 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
      "--threads", "1", "--json"],                          # line kernel
     ["verify", "--suite", "lemma21", "--trials", "-5", "--strict",
      "--json"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "0"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "-1"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankmin import geometry, rank_metric
+from rankmin import geometry, linalg
 from rankmin.fields import make_field
 from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
                             f_rational_part)
@@ -104,14 +104,14 @@ def test_grw_examples():
 def test_grw_both_catches_lying_flatten(monkeypatch):
     # a flattening that drops one row makes the geometric route report
     # d_1(C32) = 2; the brute route computes supports without flattening
-    real = rank_metric.flatten_subspace
+    real = linalg.flatten_subspace
 
     def lying_flatten(esub):
         flat = real(esub)
         return Subspace(flat.tower, "F", flat.ambient, flat.rows[:-1],
                         flat.pivots[:-1])
 
-    monkeypatch.setattr(rank_metric, "flatten_subspace", lying_flatten)
+    monkeypatch.setattr(linalg, "flatten_subspace", lying_flatten)
     assert grw(C32, 1, method="brute") == 1
     with pytest.raises(CertificateError, match="grw routes disagree"):
         grw(C32, 1, method="both")

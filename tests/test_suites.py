@@ -5,6 +5,7 @@ import pytest
 from rankmin import geometry, minimality, suites
 from rankmin.cli import EXIT_CHECK, build_parser, run_command
 from rankmin.fields import make_field
+from rankmin.linalg import CertificateError
 from rankmin.suites import UnknownSuite, run_suite, suite_names
 
 # (property, instances) of every suite at trials=12, seed=3: pins each
@@ -79,6 +80,23 @@ def test_agreement_failures_carry_runnable_recheck(monkeypatch):
         assert json.loads(getattr(args, flag)) == cx[key]
         # the argv reproduces the disagreement through the CLI
         assert run_command(cx["recheck"]) == EXIT_CHECK
+
+
+@pytest.mark.parametrize("name, target, prop, keys", [
+    ("lemma21", "subcode_weight", "subcode-weight-formula", {"code", "b"}),
+    ("thm46-constant-weight", "constant_weight_class", "three-way",
+     {"code", "r"}),
+])
+def test_guard_failures_are_reported(monkeypatch, name, target, prop, keys):
+    # the guards these suites target raise CertificateError
+    def failing_guard(*args, **kwargs):
+        raise CertificateError("guard failed")
+
+    monkeypatch.setattr(suites, target, failing_guard)
+    report = run_suite(name, trials=12, seed=3)
+    [result] = [r for r in report.results if r.name == prop]
+    assert not report.passed and not result.passed
+    assert set(result.counterexample) == {"field"} | keys
 
 
 def test_unknown_suite_raises():
