@@ -118,7 +118,7 @@ def _cmd_field(args) -> int:
         "p": tower.p, "e": tower.e, "m": tower.m,
         "q": tower.q, "order": tower.order,
         "ext_poly": list(tower.ext_poly),
-        "basis": [tower.encode(b) for b in tower.basis],
+        "basis": list(tower.basis),
     }
     if tower.base_poly:
         obj["base_poly"] = list(tower.base_poly)
@@ -233,14 +233,12 @@ def _cmd_count(args) -> int:
         val = qdelta(args.q, args.n, args.r)
         obj = {"kind": "qdelta", "q": args.q, "n": args.n, "r": args.r,
                "value": val}
-    elif kind == "r-minimal":
+    else:  # r-minimal, the one kind left among argparse's choices
         if args.m is None:
             raise UsageError("count -k r-minimal needs --m")
         val = count_r_minimal(args.q, args.m, args.n, args.r)
         obj = {"kind": "r-minimal", "q": args.q, "m": args.m,
                "n": args.n, "r": args.r, "value": val}
-    else:
-        raise UsageError(f"unknown count kind {kind!r}")
     _emit(args, obj, str(obj["value"]))
     return EXIT_OK
 

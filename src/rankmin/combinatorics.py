@@ -122,16 +122,6 @@ class PsiBounds:
     existence_rhs: Fraction
     weight_census_bound: Optional[Fraction] = None  # for t = r+1 only
 
-    def to_json(self) -> dict:
-        obj = {
-            "bound_dimension_step": self.bound_dimension_step,
-            "existence_condition": self.existence_condition,
-            "existence_rhs": str(self.existence_rhs),
-        }
-        if self.weight_census_bound is not None:
-            obj["weight_census_bound"] = str(self.weight_census_bound)
-        return obj
-
 
 def psi_step_bound(big_q: int, n: int, k: int, r: int, t: int,
                    psi_t: int) -> int:
@@ -201,12 +191,6 @@ class EvasiveCertification:
     rule: str
     sequence: Optional[Tuple[int, ...]] = None
 
-    def to_json(self) -> dict:
-        obj = {"certified": self.certified, "rule": self.rule}
-        if self.sequence is not None:
-            obj["sequence"] = list(self.sequence)
-        return obj
-
 
 def evasive_bound_certifies(m: int, lam: int, a: int, u: int, k: int,
                             ) -> EvasiveCertification:
@@ -214,15 +198,14 @@ def evasive_bound_certifies(m: int, lam: int, a: int, u: int, k: int,
 
     Meaning: every (n-lam, n-lam+a)-evasive subspace of E^n with n >= k has
     F-dimension at most n + a + u.  Certification routes: the small-m rule
-    (m = 2; m = 3 with 2u >= lam; m = 4 with u >= lam + 1 — all need
-    k >= a + lam + 1), and the descent-chain search over bounded
+    (Corollary 5.2's cap at s = k - a is at most k + a + u), the base
+    condition when a = 0, and the descent-chain search over bounded
     nonnegative sequences (g_1..g_a).
     """
     if min(m, lam, a, u, k) < 0:
         raise ValueError("arguments must be nonnegative")
-    small_m = (m == 2 or (m == 3 and 2 * u >= lam)
-               or (m == 4 and u >= lam + 1))
-    if small_m and k >= a + lam + 1:
+    cap = corollary_52_bound(m, k, lam, k - a)
+    if cap is not None and cap <= k + a + u:
         return EvasiveCertification(True, "small-m")
     if a == 0:
         if _lemma_base_condition(m, lam, u, k):
@@ -308,20 +291,11 @@ def _generic_lower_search(m: int, k: int, r: int,
     machinery, searching w and sequences (a_i) on the documented grid."""
     if r < 1:
         return 0, None
-    best_w = -1
-    best_info: Optional[dict] = None
-    w_cap = (m - 1) * (k - r)
-    for w in range(w_cap, -1, -1):
-        if best_w >= w:
-            break
+    for w in range((m - 1) * (k - r), -1, -1):
         seq = _search_omega_sequence(m, k, r, w)
         if seq is not None:
-            best_w = w
-            best_info = {"w": w, "sequence": list(seq)}
-            break
-    if best_w < 0:
-        return 0, None
-    return (m - 1) * r + k + best_w + 1, best_info
+            return (m - 1) * r + k + w + 1, {"w": w, "sequence": list(seq)}
+    return 0, None
 
 
 def _search_omega_sequence(m: int, k: int, r: int, w: int,
@@ -435,10 +409,6 @@ class InequalityReport:
     holds: bool
     lhs: Fraction
     rhs: Fraction
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "lhs": str(self.lhs),
-                "rhs": str(self.rhs)}
 
 
 def product_tail_lower(a: Fraction, n: int) -> InequalityReport:

@@ -104,7 +104,6 @@ class _PolyField:
             raise NonIrreducible(f"polynomial {list(modulus)} factors")
         self.subfield = subfield
         self.degree = degree
-        self.modulus = tuple(modulus)
         self.base = subfield.order
         self.p = subfield.p
         self.order = subfield.order**degree
@@ -297,6 +296,8 @@ class FieldTower:
         basis = tuple(basis)
         if len(basis) != m:
             raise BadBasis(f"basis must have {m} elements")
+        if not all(0 <= b < self.order for b in basis):
+            raise BadBasis(f"basis elements must lie in [0, {self.order})")
         self.basis = basis
         # columns of T = polynomial digits of the basis elements
         cols = [int_to_digits(b, self.q, m) for b in basis]
@@ -360,7 +361,9 @@ class FieldTower:
         if self.e > 1:
             parts.append("base=" + ",".join(str(c) for c in self.base_poly))
         parts.append("ext=" + ",".join(str(c) for c in self.ext_poly))
-        return ",".join(parts[:3]) + "," + ",".join(parts[3:])
+        if not self._default_basis:
+            parts.append("basis=" + ",".join(str(b) for b in self.basis))
+        return ",".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTower(GF({self.q}^{self.m})/GF({self.q}))"
@@ -431,10 +434,13 @@ def make_field(p: int, m: int, *, e: int = 1,
 
 
 def parse_field_spec(spec: str) -> FieldTower:
-    """Parse a field spec string, e.g. ``p=2,e=1,m=3,ext=1,1,0,1``."""
+    """Parse a field spec string, e.g. ``p=2,e=1,m=3,ext=1,1,0,1``; a
+    trailing ``basis=b1,...,bm`` names a custom ordered basis (internal
+    element integers)."""
     p = e = m = None
     base: Optional[List[int]] = None
     ext: Optional[List[int]] = None
+    basis: Optional[List[int]] = None
     current: Optional[List[int]] = None
     for token in spec.split(","):
         token = token.strip()
@@ -453,6 +459,9 @@ def parse_field_spec(spec: str) -> FieldTower:
             elif key == "ext":
                 ext = [int(val)]
                 current = ext
+            elif key == "basis":
+                basis = [int(val)]
+                current = basis
             else:
                 raise ValueError(f"unknown field spec key {key!r}")
         else:
@@ -462,4 +471,4 @@ def parse_field_spec(spec: str) -> FieldTower:
     if p is None or m is None:
         raise ValueError("field spec needs at least p= and m=")
     return make_field(p, m, e=1 if e is None else e, base_poly=base,
-                      ext_poly=ext)
+                      ext_poly=ext, basis=basis)

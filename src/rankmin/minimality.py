@@ -241,19 +241,7 @@ def is_sigma_maximal(code: RankCode, b: Subspace) -> bool:
 @dataclass
 class ConstantWeightReport:
     is_constant: bool
-    constant_subcode_weights: bool
-    column_span_full: bool
     weights_seen: List[int]
-
-    def to_json(self) -> dict:
-        return {
-            "is_constant": self.is_constant,
-            "conditions": {
-                "constant_subcode_weights": self.constant_subcode_weights,
-                "column_span_full": self.column_span_full,
-            },
-            "weights_seen": self.weights_seen,
-        }
 
 
 def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
@@ -270,4 +258,4 @@ def constant_weight_class(code: RankCode, r: int) -> ConstantWeightReport:
     cond2 = u.dim == m * k
     if cond1 != cond2:
         raise CertificateError("constant-weight conditions disagree")
-    return ConstantWeightReport(cond1, cond1, cond2, weights)
+    return ConstantWeightReport(cond1, weights)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .fields import FieldTower
+from .geometry import avoid_complement
 from .linalg import (
     CertificateError,
     Subspace,
@@ -98,15 +99,13 @@ def rank_support(tower: FieldTower, alpha: Sequence[int]) -> Subspace:
 
 
 def chi(tower: FieldTower, vectors: Sequence[Sequence[int]],
-        n: Optional[int] = None) -> Subspace:
+        n: int) -> Subspace:
     """Joint rank support of the E-span of the given vectors.
 
     Uses the finite F-generating family {tau_i * v_j}: the rows of all
     their coordinate matrices span the same F-space as the supports of the
     whole E-span.
     """
-    if n is None:
-        n = len(vectors[0]) if vectors else 0
     rows: List[Sequence[int]] = []
     for v in vectors:
         for tau in tower.basis:
@@ -194,8 +193,8 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     return u.dim - max(meet for _, meet in meet_dims(u, code.k - r))
 
 
-def grw_sequence(code: RankCode, method: str = "geometric") -> List[int]:
-    return [grw(code, r, method) for r in range(code.k + 1)]
+def grw_sequence(code: RankCode) -> List[int]:
+    return [grw(code, r) for r in range(code.k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,6 @@ def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     complementing the column span inside E^[k]; the witness's weight is
     verified before returning.
     """
-    from .geometry import avoid_complement  # local import: module cycle
-
     if not 0 <= s <= code.k:
         raise ValueError(f"s={s} outside 0..{code.k}")
     tower, k, m = code.tower, code.k, code.tower.m

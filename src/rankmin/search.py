@@ -42,8 +42,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import (
     CountReport,
-    corollary_52_bound,
     count_r_minimal,
+    evasive_bound_certifies,
     omega_bounds,
     qbinom,
 )
@@ -58,6 +58,7 @@ from .linalg import (
     free_cells,
     walk_fills,
 )
+from .minimality import constant_weight_class, is_r_minimal
 from .rank_metric import RankCode, weight
 
 SCHEMA_VERSION = 1
@@ -379,6 +380,8 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
     set: the evasive scan at (h, t) = (k-r-1, d-mr-1)."""
     h, t = cutting_evasive_params(tower.m, k, r, d)
+    if not 0 <= d <= k * tower.m:
+        raise ValueError(f"scan dimension {d} outside 0..{k * tower.m}")
     return _scan_evasive(tower, k, h, t, d, stop_at_first, threads,
                          shards, shard_index, budget)
 
@@ -430,6 +433,11 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
 # ---------------------------------------------------------------------------
 
 
+def _check_budget(name: str, value: Optional[float]) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{name} {value} must be nonnegative")
+
+
 def omega_exhaustive(tower: FieldTower, k: int, r: int,
                      dim_cap: Optional[int] = None, threads: int = 1,
                      budget: Optional[int] = None,
@@ -444,6 +452,8 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     dimension scans) or when ``dim_cap`` stops the sweep below the rule
     upper bound; a cap below the rule lower bound is a ValueError.
     """
+    _check_budget("node budget", budget)
+    _check_budget("time budget", time_budget_s)
     m = tower.m
     bounds = omega_bounds(m, k, r)
     if dim_cap is not None and dim_cap < bounds.lower:
@@ -553,10 +563,9 @@ def census_codes(tower: FieldTower, n: int, k: int,
                  budget: Optional[int] = None) -> CountReport:
     """Enumerate every [n,k] code, counting r-minimal codes, the weight
     distribution, and optionally constant-weight codes."""
-    from .minimality import constant_weight_class, is_r_minimal
-
     if r is not None and r < 0:
         raise ValueError("r must be nonnegative")
+    _check_budget("node budget", budget)
     total = qbinom(tower.order, n, k)
     if budget is not None and total > budget:
         raise BudgetExceeded(0, total, [])
@@ -611,6 +620,7 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
         raise ValueError("k must be nonnegative")
     if not 0 <= h <= k:
         raise ValueError(f"h={h} outside 0..{k}")
+    _check_budget("node budget", budget)
     m = tower.m
     visited = 0
     for d in range(k * m, -1, -1):
@@ -631,8 +641,10 @@ def _check_evasive_caps(m: int, k: int, h: int, t: int, d: int) -> None:
     """The closed-form caps on an evasive dimension; needs 0 <= h <= k."""
     if t == h and d >= k + 1 and d > k * m // (h + 1):
         raise CertificateError("evasive dimension beats the cap")
-    # the corollary bound applies when t = 2k - lam - s for lam = k - h
-    lam = k - h
-    cap = corollary_52_bound(m, k, lam, 2 * k - lam - t)
-    if cap is not None and d > cap:
-        raise CertificateError("evasive dimension beats the corollary cap")
+    # k <-> (k - h, t - h, u) caps every (h, t)-evasive subspace of E^[k]
+    # at dimension k + (t - h) + u = d - 1
+    u = d - k - (t - h) - 1
+    if t >= h and u >= 0 and \
+            evasive_bound_certifies(m, k - h, t - h, u, k).certified:
+        raise CertificateError(
+            f"evasive dimension {d} beats a certified cap of {d - 1}")

@@ -4,21 +4,24 @@ invariants, run over seeded random instances on small towers.
 Each suite yields per-property pass/fail results; a failure carries a
 serialized counterexample and, where a single CLI decision command can
 re-check it, a complete argv to do so.  The seeded suites share one
-harness: ``_rngs`` yields one generator per trial, seeded by (seed, suite
-tag, trial), so reports are deterministic for a fixed seed; a ``_Tally``
-keeps the instance count the suite's properties share and the first
-counterexample of each property.  The agreement suites run the deciders'
+harness: each is a one-trial ``check(tally, tower, k, rng)`` that
+``_seeded`` registers.  Its runner walks the towers or (tower, k) pairs,
+splits the trials among them and seeds one generator per trial by (seed,
+suite tag, trial), so reports are deterministic for a fixed seed; a
+``_Tally`` keeps the instance count the suite's properties share and the
+first counterexample of each property.  The agreement suites run the deciders'
 own ``all`` routes and report the ``CertificateError`` they raise.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import combinatorics as comb
 from .fields import FieldTower, make_field
@@ -112,6 +115,9 @@ def default_towers() -> List[FieldTower]:
 # Suite harness.
 # ---------------------------------------------------------------------------
 
+# suite name -> runner(towers, trials, seed) -> list of PropertyResult
+_SUITES: Dict[str, Callable] = {}
+
 
 class _Tally:
     """The shared instance count and the first counterexample per property."""
@@ -130,19 +136,51 @@ class _Tally:
                                self.fails.get(nm)) for nm in self.names]
 
 
-def _rng_for(seed: int, suite: str, trial: int) -> random.Random:
-    return random.Random(f"{seed}:{suite}:{trial}")
+def _each_tower(towers: Sequence[FieldTower]) -> list:
+    return [(t, None) for t in towers]
 
 
-def _rngs(seed: int, tag: str, n: int) -> Iterator[random.Random]:
-    """The generators of trials 0 .. max(1, n) - 1 under one suite tag."""
-    for trial in range(max(1, n)):
-        yield _rng_for(seed, tag, trial)
+def _first_two(towers: Sequence[FieldTower]) -> list:
+    return [(t, None) for t in towers[:2]]
 
 
 def _small_pairs(towers: Sequence[FieldTower]) -> list:
     """(tower, k) for k in (2, 3) with a flattened E^[k] of F-dimension <= 9."""
     return [(t, k) for t in towers for k in (2, 3) if k * t.m <= 9]
+
+
+def _seeded(name: str, tag: str, *properties: str, scope=_each_tower,
+            split=lambda trials, entries: trials // entries):
+    """Register ``check(tally, tower, k, rng)``, one trial of suite ``name``.
+
+    ``scope`` maps the tower list to (tower, k) entries (k is None unless
+    the suite runs on (tower, k) pairs).  Each entry gets
+    max(1, split(trials, len(entries))) trials, and trial i draws from
+    ``random.Random(f"{seed}:{key}:{i}")`` with key ``tag``, or ``tag:k``
+    for a pair, so reports are deterministic for a fixed seed.
+    """
+    def register(check: Callable) -> Callable:
+        def run(towers, trials, seed):
+            tally = _Tally(*properties)
+            entries = scope(towers)  # may be empty: no tower has a small pair
+            per_entry = max(1, split(trials, len(entries) or 1))
+            for tower, k in entries:
+                key = tag if k is None else f"{tag}:{k}"
+                for trial in range(per_entry):
+                    check(tally, tower, k,
+                          random.Random(f"{seed}:{key}:{trial}"))
+            return tally.results()
+        _SUITES[name] = run
+        return check
+    return register
+
+
+def _unseeded(name: str):
+    """Register ``suite()``, which ignores the towers, trials and seed."""
+    def register(suite: Callable) -> Callable:
+        _SUITES[name] = lambda towers, trials, seed: suite()
+        return suite
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -192,166 +230,148 @@ def random_esubspace(tower: FieldTower, ambient: int, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# Suite implementations.  Each returns a list of PropertyResult.
+# Suite implementations: one seeded trial each, or an unseeded suite.
 # ---------------------------------------------------------------------------
 
 
-def _suite_field_axioms(towers, trials, seed):
-    tally = _Tally("mul-assoc", "distrib", "inverse")
-    for tower in towers:
-        add, mul = tower.E.add, tower.E.mul
-        for rng in _rngs(seed, "field-axioms", trials):
-            a, b, c = (rng.randrange(tower.order) for _ in range(3))
-            tally.count += 1
-            checks = {
-                "mul-assoc": mul(a, mul(b, c)) == mul(mul(a, b), c),
-                "distrib": mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
-                "inverse": a == 0 or mul(a, tower.E.inv(a)) == 1,
-            }
-            for name, ok in checks.items():
-                if not ok:
-                    tally.fail(name, tower, a=a, b=b, c=c)
-    return tally.results()
+@_seeded("field-axioms", "field-axioms", "mul-assoc", "distrib", "inverse",
+         split=lambda trials, entries: trials)
+def _field_axioms(tally, tower, k, rng):
+    add, mul = tower.E.add, tower.E.mul
+    a, b, c = (rng.randrange(tower.order) for _ in range(3))
+    tally.count += 1
+    checks = {
+        "mul-assoc": mul(a, mul(b, c)) == mul(mul(a, b), c),
+        "distrib": mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
+        "inverse": a == 0 or mul(a, tower.E.inv(a)) == 1,
+    }
+    for name, ok in checks.items():
+        if not ok:
+            tally.fail(name, tower, a=a, b=b, c=c)
 
 
-def _suite_expand_linear(towers, trials, seed):
-    tally = _Tally("linear", "reconstruct")
-    for tower in towers:
-        E, F = tower.E, tower.F
-        for rng in _rngs(seed, "expand-linear", trials):
-            n = rng.randrange(1, 5)
-            a, b = rng.randrange(tower.q), rng.randrange(tower.q)
-            al = tuple(rng.randrange(tower.order) for _ in range(n))
-            be = tuple(rng.randrange(tower.order) for _ in range(n))
-            tally.count += 1
-            combo = tuple(E.add(E.mul(a, x), E.mul(b, y))
-                          for x, y in zip(al, be))
-            ma, mb = tower.expand(al), tower.expand(be)
-            expect = [
-                [F.add(F.mul(a, ma[i][j]), F.mul(b, mb[i][j]))
-                 for j in range(n)] for i in range(tower.m)]
-            if tower.expand(combo) != expect:
-                tally.fail("linear", tower, alpha=list(al), beta=list(be))
-            if tower.reconstruct(tower.expand(al)) != al:
-                tally.fail("reconstruct", tower, alpha=list(al))
-    return tally.results()
+@_seeded("expand-linear", "expand-linear", "linear", "reconstruct",
+         split=lambda trials, entries: trials)
+def _expand_linear(tally, tower, k, rng):
+    E, F = tower.E, tower.F
+    n = rng.randrange(1, 5)
+    a, b = rng.randrange(tower.q), rng.randrange(tower.q)
+    al = tuple(rng.randrange(tower.order) for _ in range(n))
+    be = tuple(rng.randrange(tower.order) for _ in range(n))
+    tally.count += 1
+    combo = tuple(E.add(E.mul(a, x), E.mul(b, y)) for x, y in zip(al, be))
+    ma, mb = tower.expand(al), tower.expand(be)
+    expect = [[F.add(F.mul(a, ma[i][j]), F.mul(b, mb[i][j]))
+               for j in range(n)] for i in range(tower.m)]
+    if tower.expand(combo) != expect:
+        tally.fail("linear", tower, alpha=list(al), beta=list(be))
+    if tower.reconstruct(tower.expand(al)) != al:
+        tally.fail("reconstruct", tower, alpha=list(al))
 
 
-def _suite_rank_support(towers, trials, seed):
-    tally = _Tally("scalar-invariance", "basis-invariance")
-    for tower in towers:
-        alt = None
-        if tower.q == 2 and tower.m == 2:
-            alt = make_field(2, 2, ext_poly=tower.ext_poly, basis=(2, 3))
-        for rng in _rngs(seed, "rank-support", trials):
-            n = rng.randrange(1, 5)
-            alpha = tuple(rng.randrange(tower.order) for _ in range(n))
-            c = rng.randrange(1, tower.order)
-            tally.count += 1
-            scaled = tuple(tower.E.mul(c, x) for x in alpha)
-            if rank_support(tower, scaled) != rank_support(tower, alpha):
-                tally.fail("scalar-invariance", tower, alpha=list(alpha), c=c)
-            if alt is not None and \
-                    rank_support(alt, alpha) != rank_support(tower, alpha):
-                tally.fail("basis-invariance", tower, alpha=list(alpha))
-    return tally.results()
+@functools.lru_cache(maxsize=8)
+def _alternate_basis(tower: FieldTower) -> Optional[FieldTower]:
+    """GF(4) over the basis (x, x+1), or None for any other tower."""
+    if tower.q == 2 and tower.m == 2:
+        return make_field(2, 2, ext_poly=tower.ext_poly, basis=(2, 3))
+    return None
 
 
-def _suite_lemma21(towers, trials, seed):
-    tally = _Tally("dual-intersection", "weight-from-dual",
-                   "column-span-weight", "subcode-weight-formula")
-    for tower in towers:
-        for rng in _rngs(seed, "lemma21", trials // len(towers)):
-            code = random_code(tower, rng)
-            tally.count += 1
-            lhs = f_rational_part(tower, code.as_subspace().dual())
-            rhs = chi_code(code).dual()
-            if lhs != rhs:
-                tally.fail("dual-intersection", tower, code=code.to_json())
-            if weight(code) != code.n - lhs.dim:
-                tally.fail("weight-from-dual", tower, code=code.to_json())
-            u = column_support(code)
-            if u.dim != weight(code):
-                tally.fail("column-span-weight", tower, code=code.to_json())
-            for b in subcode_spaces(code, 1):
-                try:
-                    subcode_weight(code, b, cross_check=True)
-                except CertificateError:
-                    tally.fail("subcode-weight-formula", tower,
-                               code=code.to_json(), b=b.to_json())
+@_seeded("rank-support-basics", "rank-support", "scalar-invariance",
+         "basis-invariance", split=lambda trials, entries: trials)
+def _rank_support(tally, tower, k, rng):
+    alt = _alternate_basis(tower)
+    n = rng.randrange(1, 5)
+    alpha = tuple(rng.randrange(tower.order) for _ in range(n))
+    c = rng.randrange(1, tower.order)
+    tally.count += 1
+    scaled = tuple(tower.E.mul(c, x) for x in alpha)
+    if rank_support(tower, scaled) != rank_support(tower, alpha):
+        tally.fail("scalar-invariance", tower, alpha=list(alpha), c=c)
+    if alt is not None and \
+            rank_support(alt, alpha) != rank_support(tower, alpha):
+        tally.fail("basis-invariance", tower, alpha=list(alpha))
+
+
+@_seeded("lemma21", "lemma21", "dual-intersection", "weight-from-dual",
+         "column-span-weight", "subcode-weight-formula")
+def _lemma21(tally, tower, k, rng):
+    code = random_code(tower, rng)
+    tally.count += 1
+    lhs = f_rational_part(tower, code.as_subspace().dual())
+    rhs = chi_code(code).dual()
+    if lhs != rhs:
+        tally.fail("dual-intersection", tower, code=code.to_json())
+    if weight(code) != code.n - lhs.dim:
+        tally.fail("weight-from-dual", tower, code=code.to_json())
+    u = column_support(code)
+    if u.dim != weight(code):
+        tally.fail("column-span-weight", tower, code=code.to_json())
+    for b in subcode_spaces(code, 1):
+        try:
+            subcode_weight(code, b, cross_check=True)
+        except CertificateError:
+            tally.fail("subcode-weight-formula", tower,
+                       code=code.to_json(), b=b.to_json())
+        break
+
+
+@_seeded("cor21", "cor21", "upper", "equality-iff-full", "subcode-dims")
+def _cor21(tally, tower, k, rng):
+    m = tower.m
+    code = random_code(tower, rng)
+    tally.count += 1
+    wtc = weight(code)
+    if wtc > m * code.k:
+        tally.fail("upper", tower, code=code.to_json())
+    full = column_support(code).dim == m * code.k
+    if (wtc == m * code.k) != full:
+        tally.fail("equality-iff-full", tower, code=code.to_json())
+    if wtc == m * code.k:
+        for r in range(code.k + 1):
+            for b in subcode_spaces(code, r):
+                if subcode_weight(code, b) != m * r:
+                    tally.fail("subcode-dims", tower, code=code.to_json(),
+                               r=r)
                 break
-    return tally.results()
 
 
-def _suite_cor21(towers, trials, seed):
-    tally = _Tally("upper", "equality-iff-full", "subcode-dims")
-    for tower in towers:
-        m = tower.m
-        for rng in _rngs(seed, "cor21", trials // len(towers)):
-            code = random_code(tower, rng)
-            tally.count += 1
-            wtc = weight(code)
-            if wtc > m * code.k:
-                tally.fail("upper", tower, code=code.to_json())
-            full = column_support(code).dim == m * code.k
-            if (wtc == m * code.k) != full:
-                tally.fail("equality-iff-full", tower, code=code.to_json())
-            if wtc == m * code.k:
-                for r in range(code.k + 1):
-                    for b in subcode_spaces(code, r):
-                        if subcode_weight(code, b) != m * r:
-                            tally.fail("subcode-dims", tower,
-                                       code=code.to_json(), r=r)
-                        break
-    return tally.results()
+@_seeded("grw-monotone", "grw-monotone", "strict")
+def _grw_monotone(tally, tower, k, rng):
+    code = random_code(tower, rng)
+    tally.count += 1
+    seq = grw_sequence(code)
+    if not all(a < b for a, b in zip(seq, seq[1:])):
+        tally.fail("strict", tower, code=code.to_json(), seq=seq)
 
 
-def _suite_grw_monotone(towers, trials, seed):
-    tally = _Tally("strict")
-    for tower in towers:
-        for rng in _rngs(seed, "grw-monotone", trials // len(towers)):
-            code = random_code(tower, rng)
-            tally.count += 1
-            seq = grw_sequence(code)
-            if not all(a < b for a, b in zip(seq, seq[1:])):
-                tally.fail("strict", tower, code=code.to_json(), seq=seq)
-    return tally.results()
+@_seeded("lemma22", "lemma22", "full-support")
+def _lemma22(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=tower.m, n_min=1)
+    tally.count += 1
+    alpha = full_support_codeword(code)
+    if rank_support(tower, alpha) != chi_code(code):
+        tally.fail("full-support", tower, code=code.to_json())
 
 
-def _suite_lemma22(towers, trials, seed):
-    tally = _Tally("full-support")
-    for tower in towers:
-        for rng in _rngs(seed, "lemma22", trials // len(towers)):
-            code = random_code(tower, rng, n_max=tower.m, n_min=1)
-            tally.count += 1
-            alpha = full_support_codeword(code)
-            if rank_support(tower, alpha) != chi_code(code):
-                tally.fail("full-support", tower, code=code.to_json())
-    return tally.results()
-
-
-def _suite_cor31(towers, trials, seed):
-    tally = _Tally("bound", "equality-case")
-    for tower in towers:
-        for rng in _rngs(seed, "cor31", trials // len(towers)):
-            code = random_code(tower, rng, n_max=4, k_max=2)
-            for b in subcode_spaces(code, 1):
-                if not is_rank_minimal(code, b).verdict:
-                    continue
-                tally.count += 1
-                d_code = code.subcode(b)
-                lhs = code.k - 1
-                rhs = weight(code) - chi_code(d_code).dim
-                mu_d = support_code(tower, chi_code(d_code)).as_subspace()
-                mu_c = support_code(tower, chi_code(code)).as_subspace()
-                eq = mu_d.sum(code.as_subspace()) == mu_c
-                if lhs > rhs:
-                    tally.fail("bound", tower, code=code.to_json(),
-                               b=b.to_json())
-                if (lhs == rhs) != eq:
-                    tally.fail("equality-case", tower, code=code.to_json(),
-                               b=b.to_json())
-    return tally.results()
+@_seeded("cor31-singleton", "cor31", "bound", "equality-case")
+def _cor31(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=4, k_max=2)
+    for b in subcode_spaces(code, 1):
+        if not is_rank_minimal(code, b).verdict:
+            continue
+        tally.count += 1
+        d_code = code.subcode(b)
+        lhs = code.k - 1
+        rhs = weight(code) - chi_code(d_code).dim
+        mu_d = support_code(tower, chi_code(d_code)).as_subspace()
+        mu_c = support_code(tower, chi_code(code)).as_subspace()
+        eq = mu_d.sum(code.as_subspace()) == mu_c
+        if lhs > rhs:
+            tally.fail("bound", tower, code=code.to_json(), b=b.to_json())
+        if (lhs == rhs) != eq:
+            tally.fail("equality-case", tower, code=code.to_json(),
+                       b=b.to_json())
 
 
 def _eight_conditions(code: RankCode, b: Subspace) -> tuple:
@@ -393,118 +413,99 @@ def _eight_conditions(code: RankCode, b: Subspace) -> tuple:
     return (c1, c2, c3, c4, c5, c6, c7, c8)
 
 
-def _suite_thm32_conditions(towers, trials, seed):
-    tally = _Tally("eight-way")
-    for tower in towers:
-        for rng in _rngs(seed, "thm32", trials // (len(towers) * 3)):
-            code = random_code(tower, rng, n_max=3, k_max=2)
-            for b in subcode_spaces(code, 1):
-                tally.count += 1
-                conds = _eight_conditions(code, b)
-                if len(set(conds)) != 1:
-                    tally.fail("eight-way", tower, code=code.to_json(),
-                               b=b.to_json(), conditions=list(conds))
-    return tally.results()
+@_seeded("thm32-eight-conditions", "thm32", "eight-way",
+         split=lambda trials, entries: trials // (entries * 3))
+def _thm32_conditions(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=3, k_max=2)
+    for b in subcode_spaces(code, 1):
+        tally.count += 1
+        conds = _eight_conditions(code, b)
+        if len(set(conds)) != 1:
+            tally.fail("eight-way", tower, code=code.to_json(),
+                       b=b.to_json(), conditions=list(conds))
 
 
-def _suite_cor32(towers, trials, seed):
-    tally = _Tally("restriction")
-    for tower in towers[:2]:
-        for rng in _rngs(seed, "cor32", trials // 40):
-            code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
-            for r in range(1, code.k):
-                tally.count += 1
-                mine = is_r_minimal(code, r).verdict
-                for t in range(r + 1, code.k + 1):
-                    subs = all(is_r_minimal(code.subcode(bb), r).verdict
-                               for bb in subcode_spaces(code, t))
-                    if mine != subs:
-                        tally.fail("restriction", tower, code=code.to_json(),
-                                   r=r, t=t)
-    return tally.results()
+@_seeded("cor32", "cor32", "restriction", scope=_first_two,
+         split=lambda trials, entries: trials // 40)
+def _cor32(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
+    for r in range(1, code.k):
+        tally.count += 1
+        mine = is_r_minimal(code, r).verdict
+        for t in range(r + 1, code.k + 1):
+            subs = all(is_r_minimal(code.subcode(bb), r).verdict
+                       for bb in subcode_spaces(code, t))
+            if mine != subs:
+                tally.fail("restriction", tower, code=code.to_json(),
+                           r=r, t=t)
 
 
-def _suite_cor33(towers, trials, seed):
-    tally = _Tally("downward")
-    for tower in towers:
-        for rng in _rngs(seed, "cor33", trials // len(towers)):
-            code = random_code(tower, rng)
-            tally.count += 1
-            for r in range(1, code.k):
-                if is_r_minimal(code, r).verdict:
-                    for s in range(r + 1):
-                        if not is_r_minimal(code, s).verdict:
-                            tally.fail("downward", tower, code=code.to_json(),
-                                       r=r, s=s)
-    return tally.results()
+@_seeded("cor33", "cor33", "downward")
+def _cor33(tally, tower, k, rng):
+    code = random_code(tower, rng)
+    tally.count += 1
+    for r in range(1, code.k):
+        if is_r_minimal(code, r).verdict:
+            for s in range(r + 1):
+                if not is_r_minimal(code, s).verdict:
+                    tally.fail("downward", tower, code=code.to_json(),
+                               r=r, s=s)
 
 
-def _suite_prop31(towers, trials, seed):
-    tally = _Tally("constant-implies-minimal")
-    for tower in towers:
-        for rng in _rngs(seed, "prop31", trials // len(towers)):
-            code = random_code(tower, rng)
-            tally.count += 1
-            for r in range(1, code.k):
-                weights = {subcode_weight(code, bb)
-                           for bb in subcode_spaces(code, r)}
-                if len(weights) == 1 and not is_r_minimal(code, r).verdict:
-                    tally.fail("constant-implies-minimal", tower,
-                               code=code.to_json(), r=r)
-    return tally.results()
+@_seeded("prop31", "prop31", "constant-implies-minimal")
+def _prop31(tally, tower, k, rng):
+    code = random_code(tower, rng)
+    tally.count += 1
+    for r in range(1, code.k):
+        weights = {subcode_weight(code, bb) for bb in subcode_spaces(code, r)}
+        if len(weights) == 1 and not is_r_minimal(code, r).verdict:
+            tally.fail("constant-implies-minimal", tower,
+                       code=code.to_json(), r=r)
 
 
-def _suite_thm41(towers, trials, seed):
-    tally = _Tally("value", "witness")
-    for tower in towers:
-        m = tower.m
-        for rng in _rngs(seed, "thm41", trials // len(towers)):
-            code = random_code(tower, rng, n_max=4, k_max=4)
-            tally.count += 1
-            for s in range(code.k + 1):
-                val, wit = max_subcode_weight(code, s)
-                if val != min(m * s, weight(code)):
-                    tally.fail("value", tower, code=code.to_json(), s=s,
-                               got=val)
-                if chi_code(wit).dim != val or wit.k != s:
-                    tally.fail("witness", tower, code=code.to_json(), s=s)
-    return tally.results()
+@_seeded("thm41-max-weight", "thm41", "value", "witness")
+def _thm41(tally, tower, k, rng):
+    m = tower.m
+    code = random_code(tower, rng, n_max=4, k_max=4)
+    tally.count += 1
+    for s in range(code.k + 1):
+        val, wit = max_subcode_weight(code, s)
+        if val != min(m * s, weight(code)):
+            tally.fail("value", tower, code=code.to_json(), s=s, got=val)
+        if chi_code(wit).dim != val or wit.k != s:
+            tally.fail("witness", tower, code=code.to_json(), s=s)
 
 
-def _suite_lemma23(towers, trials, seed):
-    tally = _Tally("h-le-t", "parameter-drop", "quotient")
-    pairs = _small_pairs(towers)
-    for tower, k in pairs:
-        for rng in _rngs(seed, f"lemma23:{k}", trials // (len(pairs) * 4)):
-            j = random_fsubspace(tower, k, rng,
-                                 dim=rng.randrange(k, k * tower.m))
-            if not is_evasive(tower, k, j, 0, j.dim)[0]:
-                continue
-            tally.count += 1
-            for h in range(1, k + 1):
-                t = h
-                while not is_evasive(tower, k, j, h, t)[0]:
-                    t += 1
-                if t < h:
-                    tally.fail("h-le-t", tower, j=j.to_json(), h=h)
-                for s in range(h + 1):
-                    if not is_evasive(tower, k, j, h - s, t - s)[0]:
-                        tally.fail("parameter-drop", tower, j=j.to_json(),
-                                   h=h, t=t, s=s)
-            # quotient property on a random E-subspace
-            b = rng.randrange(1, k + 1)
-            w = b
-            while not is_evasive(tower, k, j, b, w)[0]:
-                w += 1
-            a_dim = rng.randrange(0, b)
-            asub = random_esubspace(tower, k, a_dim, rng)
-            v = j.intersection_dim(flatten_subspace(asub))
-            proj = _project_mod(tower, k, j, asub)
-            if a_dim and not is_evasive(tower, k - a_dim, proj,
-                                        b - a_dim, w - v)[0]:
-                tally.fail("quotient", tower, j=j.to_json(),
-                           a=asub.to_json(), b=b, w=w)
-    return tally.results()
+@_seeded("lemma23", "lemma23", "h-le-t", "parameter-drop", "quotient",
+         scope=_small_pairs,
+         split=lambda trials, entries: trials // (entries * 4))
+def _lemma23(tally, tower, k, rng):
+    j = random_fsubspace(tower, k, rng, dim=rng.randrange(k, k * tower.m))
+    if not is_evasive(tower, k, j, 0, j.dim)[0]:
+        return
+    tally.count += 1
+    for h in range(1, k + 1):
+        t = h
+        while not is_evasive(tower, k, j, h, t)[0]:
+            t += 1
+        if t < h:
+            tally.fail("h-le-t", tower, j=j.to_json(), h=h)
+        for s in range(h + 1):
+            if not is_evasive(tower, k, j, h - s, t - s)[0]:
+                tally.fail("parameter-drop", tower, j=j.to_json(), h=h, t=t,
+                           s=s)
+    # quotient property on a random E-subspace
+    b = rng.randrange(1, k + 1)
+    w = b
+    while not is_evasive(tower, k, j, b, w)[0]:
+        w += 1
+    a_dim = rng.randrange(0, b)
+    asub = random_esubspace(tower, k, a_dim, rng)
+    v = j.intersection_dim(flatten_subspace(asub))
+    proj = _project_mod(tower, k, j, asub)
+    if a_dim and not is_evasive(tower, k - a_dim, proj, b - a_dim, w - v)[0]:
+        tally.fail("quotient", tower, j=j.to_json(), a=asub.to_json(), b=b,
+                   w=w)
 
 
 def _project_mod(tower, k, fsub, asub):
@@ -517,138 +518,115 @@ def _project_mod(tower, k, fsub, asub):
     return Subspace.span(tower, "F", len(comp) * tower.m, vecs)
 
 
-def _suite_prop42(towers, trials, seed):
-    tally = _Tally("lower-bound")
-    pairs = _small_pairs(towers)
-    for tower, k in pairs:
-        m = tower.m
-        for rng in _rngs(seed, f"prop42:{k}", trials // (len(pairs) * 2)):
-            s = rng.randrange(0, k + 1)
-            dim = min(k * m, k * (m - 1) + s)
-            b = random_fsubspace(tower, k, rng, dim=dim)
-            tally.count += 1
-            if linearity_index(tower, k, b) < s:
-                tally.fail("lower-bound", tower, b=b.to_json(), s=s)
-    return tally.results()
+def _pair_split(trials: int, entries: int) -> int:
+    return trials // (entries * 2)
 
 
-def _suite_cor42(towers, trials, seed):
-    tally = _Tally("big-dim-cuts", "codim-m-case", "cutting-dim-bound")
-    pairs = _small_pairs(towers)
-    for tower, k in pairs:
-        m = tower.m
-        for rng in _rngs(seed, f"cor42:{k}", trials // (len(pairs) * 2)):
-            a = random_fsubspace(tower, k, rng)
-            tally.count += 1
-            lidx = linearity_index(tower, k, a)
-            for r in range(k):
-                cut = is_cutting(tower, k, a, r).verdict
-                if a.dim >= (k - 1) * m + 1 and not cut:
-                    tally.fail("big-dim-cuts", tower, a=a.to_json(), r=r)
-                if a.dim == (k - 1) * m and cut != (lidx <= k - r - 2):
-                    tally.fail("codim-m-case", tower, a=a.to_json(), r=r)
-                if cut:
-                    s = min(k - r - 1, lidx)
-                    if a.dim < (m - 1) * (r + s) + k:
-                        tally.fail("cutting-dim-bound", tower,
-                                   a=a.to_json(), r=r)
-    return tally.results()
+@_seeded("prop42", "prop42", "lower-bound", scope=_small_pairs,
+         split=_pair_split)
+def _prop42(tally, tower, k, rng):
+    s = rng.randrange(0, k + 1)
+    dim = min(k * tower.m, k * (tower.m - 1) + s)
+    b = random_fsubspace(tower, k, rng, dim=dim)
+    tally.count += 1
+    if linearity_index(tower, k, b) < s:
+        tally.fail("lower-bound", tower, b=b.to_json(), s=s)
 
 
-def _suite_thm46(towers, trials, seed):
-    tally = _Tally("three-way")
-    for tower in towers:
-        for rng in _rngs(seed, "thm46", trials // len(towers)):
-            code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
-            for r in range(1, code.k):
-                tally.count += 1
-                try:
-                    constant_weight_class(code, r)
-                except CertificateError:
-                    tally.fail("three-way", tower, code=code.to_json(), r=r)
-    return tally.results()
+@_seeded("cor42", "cor42", "big-dim-cuts", "codim-m-case",
+         "cutting-dim-bound", scope=_small_pairs, split=_pair_split)
+def _cor42(tally, tower, k, rng):
+    m = tower.m
+    a = random_fsubspace(tower, k, rng)
+    tally.count += 1
+    lidx = linearity_index(tower, k, a)
+    for r in range(k):
+        cut = is_cutting(tower, k, a, r).verdict
+        if a.dim >= (k - 1) * m + 1 and not cut:
+            tally.fail("big-dim-cuts", tower, a=a.to_json(), r=r)
+        if a.dim == (k - 1) * m and cut != (lidx <= k - r - 2):
+            tally.fail("codim-m-case", tower, a=a.to_json(), r=r)
+        if cut and a.dim < (m - 1) * (r + min(k - r - 1, lidx)) + k:
+            tally.fail("cutting-dim-bound", tower, a=a.to_json(), r=r)
 
 
-def _suite_cutting_threeway(towers, trials, seed):
-    tally = _Tally("three-way")
-    pairs = _small_pairs(towers)
-    for tower, k in pairs:
-        for rng in _rngs(seed, f"cutting3:{k}", trials // (len(pairs) * 2)):
-            s = random_fsubspace(tower, k, rng)
-            for r in range(k):
-                tally.count += 1
-                try:
-                    is_cutting(tower, k, s, r, route="all")
-                except CertificateError as exc:
-                    tally.fail("three-way", tower, s=s.to_json(), r=r,
-                               error=str(exc),
-                               recheck=["cutting", "--field",
-                                        tower.spec_string(), "--subspace",
-                                        json.dumps(s.to_json(),
-                                                   sort_keys=True),
-                                        "--r", str(r), "--route", "all"])
-    return tally.results()
+@_seeded("thm46-constant-weight", "thm46", "three-way")
+def _thm46(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=4, k_max=3, k_min=2)
+    for r in range(1, code.k):
+        tally.count += 1
+        try:
+            constant_weight_class(code, r)
+        except CertificateError:
+            tally.fail("three-way", tower, code=code.to_json(), r=r)
 
 
-def _suite_criteria_agreement(towers, trials, seed):
-    tally = _Tally("four-way")
-    for tower in towers:
-        for rng in _rngs(seed, "criteria", trials // len(towers)):
-            code = random_code(tower, rng, n_max=4, k_max=4)
-            for r in range(1, code.k):
-                tally.count += 1
-                try:
-                    is_r_minimal(code, r, "all")
-                except CertificateError as exc:
-                    tally.fail("four-way", tower, code=code.to_json(), r=r,
-                               error=str(exc),
-                               recheck=["minimal", "--field",
-                                        tower.spec_string(), "--code",
-                                        json.dumps(code.to_json(),
-                                                   sort_keys=True),
-                                        "--r", str(r), "--method", "all"])
-    return tally.results()
+@_seeded("cutting-threeway", "cutting3", "three-way", scope=_small_pairs,
+         split=_pair_split)
+def _cutting_threeway(tally, tower, k, rng):
+    s = random_fsubspace(tower, k, rng)
+    for r in range(k):
+        tally.count += 1
+        try:
+            is_cutting(tower, k, s, r, route="all")
+        except CertificateError as exc:
+            tally.fail("three-way", tower, s=s.to_json(), r=r, error=str(exc),
+                       recheck=["cutting", "--field", tower.spec_string(),
+                                "--subspace",
+                                json.dumps(s.to_json(), sort_keys=True),
+                                "--r", str(r), "--route", "all"])
 
 
-def _suite_maximality(towers, trials, seed):
-    tally = _Tally("equivalence")
-    for tower in towers[:2]:
-        for rng in _rngs(seed, "maximality", trials // 30):
-            code = random_code(tower, rng, n_max=4, k_max=2, k_min=2)
-            for r in range(1, code.k):
-                tally.count += 1
-                rmin = is_r_minimal(code, r).verdict
-                allmax = all(is_sigma_maximal(code, bb)
-                             for bb in subcode_spaces(code, r))
-                if rmin != allmax:
-                    tally.fail("equivalence", tower, code=code.to_json(), r=r)
-    return tally.results()
+@_seeded("criteria-agreement", "criteria", "four-way")
+def _criteria_agreement(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=4, k_max=4)
+    for r in range(1, code.k):
+        tally.count += 1
+        try:
+            is_r_minimal(code, r, "all")
+        except CertificateError as exc:
+            tally.fail("four-way", tower, code=code.to_json(), r=r,
+                       error=str(exc),
+                       recheck=["minimal", "--field", tower.spec_string(),
+                                "--code",
+                                json.dumps(code.to_json(), sort_keys=True),
+                                "--r", str(r), "--method", "all"])
 
 
-def _suite_weierstrass(towers, trials, seed):
+@_seeded("maximality", "maximality", "equivalence", scope=_first_two,
+         split=lambda trials, entries: trials // 30)
+def _maximality(tally, tower, k, rng):
+    code = random_code(tower, rng, n_max=4, k_max=2, k_min=2)
+    for r in range(1, code.k):
+        tally.count += 1
+        rmin = is_r_minimal(code, r).verdict
+        allmax = all(is_sigma_maximal(code, bb)
+                     for bb in subcode_spaces(code, r))
+        if rmin != allmax:
+            tally.fail("equivalence", tower, code=code.to_json(), r=r)
+
+
+@_unseeded("weierstrass")
+def _weierstrass():
     triples = [(m, n, h)
                for m in range(1, 6) for n in range(1, 6)
                for h in range(1, min(m, n) + 1)]
     out = comb.weierstrass_checks(
         [Fraction(2), Fraction(3), Fraction(4), Fraction(8)], 12, triples)
-    count = len(out["product_lower"]) + len(out["rank_count_upper"])
-    bad_product = [k for k, v in out["product_lower"].items() if not v]
-    bad_rank = [k for k, v in out["rank_count_upper"].items() if not v]
-    return [
-        PropertyResult("product-lower", not bad_product,
-                       len(out["product_lower"]),
-                       {"cases": bad_product[:3]} if bad_product else None),
-        PropertyResult("rank-count-upper", not bad_rank,
-                       len(out["rank_count_upper"]),
-                       {"cases": bad_rank[:3]} if bad_rank else None),
-    ]
+    results = []
+    for name, key in (("product-lower", "product_lower"),
+                      ("rank-count-upper", "rank_count_upper")):
+        bad = [case for case, ok in out[key].items() if not ok]
+        results.append(PropertyResult(name, not bad, len(out[key]),
+                                      {"cases": bad[:3]} if bad else None))
+    return results
 
 
-def _suite_counting(towers, trials, seed):
+@_unseeded("counting")
+def _counting():
     tally = _Tally("enumeration", "pascal")
-    gf2 = make_field(2, 1)
-    gf3 = make_field(3, 1)
-    for q, tower, n_cap in ((2, gf2, 7), (3, gf3, 4)):
+    for q, n_cap in ((2, 7), (3, 4)):
+        tower = make_field(q, 1)
         for n in range(n_cap + 1):
             for d in range(n + 1):
                 tally.count += 1
@@ -667,35 +645,7 @@ def _suite_counting(towers, trials, seed):
     return tally.results()
 
 
-def _suite_empty(towers, trials, seed):
-    return []
-
-
-_SUITES: Dict[str, Callable] = {
-    "field-axioms": _suite_field_axioms,
-    "expand-linear": _suite_expand_linear,
-    "rank-support-basics": _suite_rank_support,
-    "lemma21": _suite_lemma21,
-    "cor21": _suite_cor21,
-    "grw-monotone": _suite_grw_monotone,
-    "lemma22": _suite_lemma22,
-    "cor31-singleton": _suite_cor31,
-    "thm32-eight-conditions": _suite_thm32_conditions,
-    "cor32": _suite_cor32,
-    "cor33": _suite_cor33,
-    "prop31": _suite_prop31,
-    "thm41-max-weight": _suite_thm41,
-    "lemma23": _suite_lemma23,
-    "prop42": _suite_prop42,
-    "cor42": _suite_cor42,
-    "thm46-constant-weight": _suite_thm46,
-    "cutting-threeway": _suite_cutting_threeway,
-    "criteria-agreement": _suite_criteria_agreement,
-    "maximality": _suite_maximality,
-    "weierstrass": _suite_weierstrass,
-    "counting": _suite_counting,
-    "empty": _suite_empty,
-}
+_unseeded("empty")(lambda: [])
 
 
 def suite_names() -> List[str]:

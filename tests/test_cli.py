@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import types
 
 import pytest
 
-from rankmin import geometry, search
+from rankmin import geometry, search, suites
 from rankmin.cli import EXIT_CHECK, run_command
+from rankmin.linalg import CertificateError
 
 GF4 = "p=2,e=1,m=2,ext=1,1,1"
 GF8 = "p=2,e=1,m=3,ext=1,1,0,1"
@@ -30,6 +32,13 @@ def test_field_command(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["order"] == 8 and obj["m"] == 3
+    assert obj["basis"] == [1, 2, 4]
+    # a custom basis stays in the spec and is reported as internal integers
+    spec = GF8 + ",basis=1,3,7"
+    code, out, _ = run(capsys, "field", "--field", spec, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["field"] == spec and obj["basis"] == [1, 3, 7]
 
 
 def test_field_command_bad_poly(capsys):
@@ -197,6 +206,65 @@ def test_omega_dim_cap_below_the_answer_exits_3(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["value"] == 5
 
 
+@pytest.mark.parametrize("limit", [("--budget", "1395"),
+                                   ("--budget", "1396"),
+                                   ("--time-budget", "1")])
+def test_omega_budget_brackets(capsys, monkeypatch, limit):
+    # the [3, 5] bracket again: dimension 3 holds qbinom(2, 6, 3) = 1395
+    # subspaces and no cutting set.  A node budget of 1395 is spent before
+    # the dimension-4 sweep starts, one of 1396 inside it, and a clock
+    # that jumps past the deadline after the dimension-3 sweep stops the
+    # search there too; each way the verified bracket is [4, 5]
+    real = search.omega_bounds(2, 3, 1)
+    monkeypatch.setattr(search, "omega_bounds", lambda m, k, r: dataclasses
+                        .replace(real, lower=3, exact=False))
+    ticks = iter([0.0, 0.0, 10.0])
+    monkeypatch.setattr(search, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "3",
+                       "--r", "1", "--threads", "1", *limit, "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["bracket"] == [4, 5]
+    assert [c["exhaustion"]["dimension"] for c in obj["certificates"]] == [3]
+
+
+def test_census_budget_exit(capsys):
+    # 21 codes to visit, one allowed
+    code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
+                       "--k", "2", "--budget", "1", "--json")
+    assert code == 3 and json.loads(out) == {"error": "budget-exceeded"}
+
+
+def test_verify_strict_exits_1_on_a_failing_suite(capsys, monkeypatch):
+    def failing_guard(*args, **kwargs):
+        raise CertificateError("guard failed")
+
+    monkeypatch.setattr(suites, "subcode_weight", failing_guard)
+    argv = ["verify", "--suite", "lemma21", "--trials", "12", "--seed", "3",
+            "--json"]
+    code, out, _ = run(capsys, *argv, "--strict")
+    assert code == 1 and json.loads(out)["passed"] is False
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+def test_cutting_json_carries_the_refuting_subspace(capsys):
+    # S = span(e_1, e_2, e_3) taken at the first coordinate of each block:
+    # dimension 3 with r = 1 gives (h, t) = (1, 0), and the first E-line
+    # <e_1> already meets S in (1, 0, 0, 0, 0, 0)
+    sub = {"level": "F", "ambient": 6,
+           "rref_basis": [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                          [0, 0, 0, 0, 1, 0]]}
+    code, out, _ = run(capsys, "cutting", "--field", GF4, "--r", "1",
+                       "--subspace", json.dumps(sub), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] is False and obj["route"] == "evasive"
+    assert obj["refuting"] == {"level": "E", "ambient": 3, "dim": 1,
+                               "rref_basis": [[1, 0, 0]]}
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
                        "--k", "2", "--r", "1", "--json")
@@ -282,6 +350,15 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
      "--json"],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "0"],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "-1"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--budget", "-1"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--time-budget", "-1"],
+    ["evasive-max", "--field", GF4, "--k", "2", "--h", "1", "--t", "1",
+     "--budget", "-3"],
+    ["census", "--field", GF4, "--n", "3", "--k", "2", "--budget", "-1"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--scan-dim", "-1",
+     "--threads", "1"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--scan-dim", "99",
+     "--threads", "1"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

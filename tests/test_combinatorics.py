@@ -183,6 +183,39 @@ def test_evasive_certification_examples():
     assert isinstance(cert, EvasiveCertification)
 
 
+def test_evasive_certification_base_and_descent_routes():
+    # m = 5 has no small-m rule.  Base, (lam, a, u) = (1, 0, 0): k >= 1 and
+    # k^2 - 4k >= 1, first true at k = 5 (5 >= 1; at k = 4, 0 < 1)
+    assert evasive_bound_certifies(5, 1, 0, 0, 5) == \
+        EvasiveCertification(True, "base", ())
+    assert evasive_bound_certifies(5, 1, 0, 0, 4) == \
+        EvasiveCertification(False, "none")
+    # descent chain, (1, 1, 0): the step g^2 - 2g >= 4 first holds at g = 4;
+    # then the base at (1 + 4, 0, 1) needs k >= 5 and k^2 - 7k >= 9, first
+    # true at k = 9 (18; at k = 8, 8 < 9).  At k = 8, g = 5 gives the base
+    # at (6, 0, 1): k^2 - 8k = 0 < 11, so nothing certifies
+    assert evasive_bound_certifies(5, 1, 1, 0, 9) == \
+        EvasiveCertification(True, "descent-chain", (4,))
+    assert evasive_bound_certifies(5, 1, 1, 0, 8) == \
+        EvasiveCertification(False, "none")
+
+
+def test_small_m_rule_in_closed_form():
+    # Corollary 5.2's cap at s = k - a is at most k + a + u exactly when
+    # k >= a + lam + 1 and m = 2, m = 3 with 2u >= lam, or m = 4 with
+    # u >= lam + 1
+    for m in range(2, 7):
+        for lam in range(5):
+            for a in range(5):
+                for u in range(7):
+                    for k in range(11):
+                        rule = (m == 2 or (m == 3 and 2 * u >= lam)
+                                or (m == 4 and u >= lam + 1))
+                        cert = evasive_bound_certifies(m, lam, a, u, k)
+                        assert (cert.rule == "small-m") == \
+                            (rule and k >= a + lam + 1), (m, lam, a, u, k)
+
+
 def test_corollary_52_bounds():
     assert corollary_52_bound(3, 3, 1, 2) == 5
     assert corollary_52_bound(2, 4, 0, 2) == 6

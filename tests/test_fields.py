@@ -11,6 +11,8 @@ from rankmin.fields import (
     make_field,
     parse_field_spec,
 )
+from rankmin.linalg import Subspace
+from rankmin.rank_metric import RankCode
 
 # p = 2 and odd p, e = 1 and e = 2, default and custom bases
 LAW_TOWERS = [
@@ -136,6 +138,31 @@ def test_spec_string_roundtrip():
     assert again == tower
     deep = make_field(2, 2, e=2)
     assert parse_field_spec(deep.spec_string()) == deep
+
+
+def test_spec_string_keeps_a_custom_basis():
+    # a default basis writes no basis=, so every default spec is unchanged
+    assert "basis" not in make_field(2, 3, basis=[1, 2, 4]).spec_string()
+    tower = make_field(2, 3, ext_poly=(1, 1, 0, 1), basis=[1, 3, 7])
+    assert tower.spec_string() == "p=2,e=1,m=3,ext=1,1,0,1,basis=1,3,7"
+    assert parse_field_spec(tower.spec_string()) == tower
+    with pytest.raises(BadBasis):
+        parse_field_spec("p=2,e=1,m=3,ext=1,1,0,1,basis=1,2,3")
+    with pytest.raises(BadBasis):
+        parse_field_spec("p=2,e=1,m=3,ext=1,1,0,1,basis=1,2,8")
+
+
+def test_json_roundtrips_over_a_custom_basis():
+    # the spec written into a code's JSON names the tower it was made over,
+    # so encoded rows decode to the same elements
+    tower = make_field(2, 3, ext_poly=(1, 1, 0, 1), basis=[1, 3, 7])
+    code = RankCode(tower, 3, [(1, 3, 5)])
+    obj = code.to_json()
+    again = RankCode.from_json(parse_field_spec(obj["field"]), obj)
+    assert again == code and again.gen == code.gen
+    sub = Subspace.span(tower, "E", 3, [(1, 3, 5), (0, 6, 2)])
+    assert Subspace.from_json(parse_field_spec(tower.spec_string()),
+                              sub.to_json()) == sub
 
 
 def test_tower_pickles_with_its_basis():

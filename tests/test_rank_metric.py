@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankmin import geometry, linalg
+from rankmin import linalg, rank_metric
 from rankmin.fields import make_field
 from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
                             f_rational_part)
@@ -198,7 +198,7 @@ def test_max_subcode_weight_checks_its_witness(monkeypatch):
     k, s = C32.k, 1
     wrong = next(v for v in enumerate_subspaces(GF4, "E", k, k - s)
                  if subcode_weight(C32, v.dual()) != 2)
-    monkeypatch.setattr(geometry, "avoid_complement",
+    monkeypatch.setattr(rank_metric, "avoid_complement",
                         lambda *args, **kwargs: wrong)
     with pytest.raises(CertificateError, match="witness weight"):
         max_subcode_weight(C32, s)

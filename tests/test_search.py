@@ -300,6 +300,30 @@ def test_max_evasive_miscounted_scan_exits_4(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: exhaustion visited")
 
 
+@pytest.mark.parametrize("spec, k, h, t, exit_code", [
+    # small-m: Corollary 5.2 at (lam, s) = (1, 2) caps (2, 3) at 4 < 6
+    ("p=2,e=1,m=2,ext=1,1,1", 3, 2, 3, 4),
+    # descent chain (0, 0) caps (2, 4) in E^[3] over GF(8) at 7 < 9
+    ("p=2,e=1,m=3,ext=1,1,0,1", 3, 2, 4, 4),
+    # base: (lam, a, u) = (1, 0, 1) fails 1 - 1 >= 1, so km = 3 stands
+    ("p=2,e=1,m=3,ext=1,1,0,1", 1, 0, 0, 0),
+])
+def test_max_evasive_checks_the_certified_caps(capsys, monkeypatch, spec, k,
+                                               h, t, exit_code):
+    # a sweep that reports a witness at every dimension puts the answer at
+    # km; a cap that evasive_bound_certifies proves below km must catch it
+    def witness_everywhere(tower, k, h, t, d, **kwargs):
+        zero = Subspace.span(tower, "F", k * tower.m, [])
+        return search.ScanResult(d, 1, True, zero)
+
+    monkeypatch.setattr(search, "_scan_evasive", witness_everywhere)
+    code = run_command(["evasive-max", "--field", spec, "--k", str(k),
+                        "--h", str(h), "--t", str(t), "--json"])
+    assert code == exit_code
+    if exit_code:
+        assert "beats a certified cap" in capsys.readouterr().err
+
+
 def test_max_evasive_examples():
     dim, wit = max_evasive_dim(GF4, 2, 1, 1)
     assert dim == 2
