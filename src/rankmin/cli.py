@@ -5,7 +5,8 @@ stdin); results print as text or, with ``--json``, as machine-readable
 JSON (sorted keys, so identical argv and seed give byte-identical output).
 Exit codes: 0 success, 1 false verdict under ``--strict``, 2 usage error,
 3 budget exceeded, 4 failed check (a ``CertificateError``: cross-checked
-routes disagree, or a certified answer failed re-verification).
+routes disagree, or a certified answer failed re-verification), 141 the
+reader closed stdout early.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CHECK = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(ValueError):
@@ -251,15 +253,25 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    scan_mode = args.scan_dim is not None
+    other_mode = ({"--budget": args.budget, "--time-budget": args.time_budget,
+                   "--dim-cap": args.dim_cap, "--cert-out": args.cert_out}
+                  if scan_mode else
+                  {"--shards": args.shards, "--shard-index": args.shard_index})
+    stray = [opt for opt, val in other_mode.items() if val is not None]
+    if stray:
+        raise UsageError(", ".join(stray) + ": not valid "
+                         + ("with" if scan_mode else "without") + " --scan-dim")
     tower = _load_tower(args.field)
-    if args.scan_dim is not None:
+    if scan_mode:
         # one sharded dimension sweep, for external orchestration
+        shards = 1 if args.shards is None else args.shards
+        index = 0 if args.shard_index is None else args.shard_index
         scan = scan_dimension(tower, args.k, args.r, args.scan_dim,
                               stop_at_first=False, threads=_threads(args),
-                              shards=args.shards,
-                              shard_index=args.shard_index)
+                              shards=shards, shard_index=index)
         obj = {"dimension": scan.dimension, "visited": scan.visited,
-               "shards": args.shards, "shard_index": args.shard_index,
+               "shards": shards, "shard_index": index,
                "witness": scan.witness.to_json() if scan.witness else None}
         _emit(args, obj, f"dim {scan.dimension}: visited {scan.visited}, "
                          f"witness {'yes' if scan.witness else 'no'}")
@@ -442,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-out", help="write the certificate JSON here")
     p.add_argument("--scan-dim", type=int,
                    help="scan a single dimension instead of searching")
-    p.add_argument("--shards", type=int, default=1,
-                   help="with --scan-dim: total shard count")
-    p.add_argument("--shard-index", type=int, default=0,
-                   help="with --scan-dim: this shard's index")
+    p.add_argument("--shards", type=int,
+                   help="with --scan-dim: total shard count (default 1)")
+    p.add_argument("--shard-index", type=int,
+                   help="with --scan-dim: this shard's index (default 0)")
     common(p, strict=False)
     p.set_defaults(func=_cmd_omega)
 
@@ -476,6 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)  # exact counts may run past the 4300-digit str() limit
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -494,7 +509,17 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to
+        # devnull and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

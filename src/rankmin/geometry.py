@@ -10,7 +10,7 @@ the one-dimensional-meeting characterization are kept as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .fields import FieldTower, int_to_digits
 from .linalg import (
@@ -21,6 +21,7 @@ from .linalg import (
     flatten_subspace,
     flatten_vector,
     meet_dims,
+    unflatten_vector,
 )
 
 
@@ -129,25 +130,27 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
 
 
 def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
-    """Largest E-dimension of an E-subspace contained in the F-subspace A."""
+    """Largest E-dimension of an E-subspace contained in the F-subspace A.
+
+    That subspace is the E-core, the intersection of the tau^-1 A over the
+    basis tau of E/F: Ev is the F-span of the tau v, so Ev <= A iff v lies
+    in every tau^-1 A.
+    """
     if a.level_name != "F" or a.ambient != k * tower.m:
         raise ValueError("A must be an F-subspace of the flattened E^[k]")
-    top = min(k, a.dim // tower.m)
-    for d in range(top, 0, -1):
-        for vsub in enumerate_subspaces(tower, "E", k, d):
-            if a.contains(flatten_subspace(vsub)):
-                return d
-    return 0
+    mul, core = tower.E.mul, a
+    for tau in tower.basis:
+        c = tower.E.inv(tau)
+        scaled = [flatten_vector(tower, [mul(c, x) for x in
+                                         unflatten_vector(tower, row)])
+                  for row in a.rows]
+        core = core.intersect(Subspace.span(tower, "F", a.ambient, scaled))
+    return core.dim // tower.m
 
 
 # ---------------------------------------------------------------------------
 # Complement avoidance (greedy, after the counting construction).
 # ---------------------------------------------------------------------------
-
-
-def _all_e_vectors(tower: FieldTower, k: int):
-    order = tower.order
-    return (int_to_digits(enc, order, k) for enc in range(order**k))
 
 
 def _stabilizer_count(tower: FieldTower, hset: frozenset, k: int) -> int:
@@ -157,6 +160,24 @@ def _stabilizer_count(tower: FieldTower, hset: frozenset, k: int) -> int:
         if scaled == hset:
             count += 1
     return count
+
+
+def _first_avoiding(tower: FieldTower, k: int,
+                    meets: Callable[[Tuple[int, ...]], bool],
+                    ) -> Tuple[int, ...]:
+    """The smallest encoded nonzero z of E^[k] whose E-line ``meets`` is
+    false for: the one greedy scan, deterministic."""
+    order = tower.order
+    for enc in range(1, order**k):
+        z = int_to_digits(enc, order, k)
+        if not meets(z):
+            return z
+    raise PreconditionViolated("no avoiding vector exists")
+
+
+def _e_line(tower: FieldTower, z: Sequence[int]) -> Subspace:
+    """The E-line <z>_E, flattened."""
+    return flatten_subspace(Subspace.span(tower, "E", len(z), [z]))
 
 
 def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
@@ -171,105 +192,52 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
     original = {tuple(v) for v in hset}
     if (0,) * k not in original:
         raise PreconditionViolated("H must contain 0")
-    big_q = tower.order
+    big_q, add, mul = tower.order, tower.E.add, tower.E.mul
     w = _stabilizer_count(tower, frozenset(original), k)
     if len(original) > w * (big_q ** (k + 1 - t) - 1) // (big_q - 1):
         raise PreconditionViolated("|H| exceeds the greedy bound")
-    cur = set(original)
+    cur = set(original)  # H + <lines>_E, as a set
     lines: List[Tuple[int, ...]] = []
     for _ in range(t):
-        z = _first_avoiding(tower, k, cur)
+        # z avoids every aH, a != 0  <=>  no bz lies in H, b != 0
+        z = _first_avoiding(tower, k, lambda z: any(
+            tuple(mul(b, x) for x in z) in cur for b in range(1, big_q)))
         lines.append(z)
-        cur = {tuple(tower.E.add(a, b) for a, b in zip(v, zz))
-               for v in cur
-               for zz in _scalar_multiples(tower, z)}
+        cur = {tuple(add(a, mul(c, b)) for a, b in zip(v, z))
+               for v in cur for c in range(big_q)}
     out = Subspace.span(tower, "E", k, lines)
     if out.dim != t:
         raise CertificateError(f"avoiding span has dimension {out.dim} != {t}")
-    # postcondition: every nonzero element of the span avoids the set
-    for coeffs in _all_e_vectors(tower, t):
-        if not any(coeffs):
-            continue
-        v = [0] * k
-        for c, zz in zip(coeffs, lines):
-            v = [tower.E.add(a, tower.E.mul(c, b)) for a, b in zip(v, zz)]
-        if tuple(v) in original:
-            raise CertificateError("avoiding span meets the set")
+    # postcondition: no nonzero element of the set lies in the span
+    if any(any(v) and out.contains_vector(v) for v in original):
+        raise CertificateError("avoiding span meets the set")
     return out
 
 
-def _scalar_multiples(tower: FieldTower, z: Sequence[int]):
-    return [tuple(tower.E.mul(c, x) for x in z) for c in range(tower.order)]
+def avoid_complement(tower: FieldTower, k: int, h: Subspace,
+                     t: int) -> Subspace:
+    """An E-subspace V of E^[k] with dim_E(V) = k - t and H cap V = {0},
+    for an F-subspace H (given flattened) with dim_F(H) <= mt.
 
-
-def _first_avoiding(tower: FieldTower, k: int, cur: set) -> Tuple[int, ...]:
-    for z in _all_e_vectors(tower, k):
-        if z == (0,) * k:
-            continue
-        # z avoids every aH, a != 0  <=>  no bz lies in H, b != 0
-        if all(tuple(tower.E.mul(b, x) for x in z) not in cur
-               for b in range(1, tower.order)):
-            return z
-    raise PreconditionViolated("no avoiding vector exists")
-
-
-def avoid_complement(tower: FieldTower, k: int, h: Subspace, t: int,
-                     dual: bool = False) -> Subspace:
-    """Complement-avoidance inside E^[k].
-
-    For an F-subspace H (given flattened) with dim_F(H) <= mt, returns an
-    E-subspace V with dim_E(V) = k - t and H cap V = {0}.  With
-    ``dual=True`` and dim_F(H) >= mt, returns W with dim_E(W) = k - t and
-    H + W = E^[k].  For a set of E^[k] vectors use ``avoid_set``.
+    Greedy: each step adds the smallest encoded z whose E-line meets
+    H + V only at 0.  For a set of E^[k] vectors use ``avoid_set``.
     """
     m = tower.m
     if h.level_name != "F" or h.ambient != k * m:
         raise ValueError("H must be an F-subspace of the flattened E^[k]")
     if not 0 <= t <= k:
         raise PreconditionViolated(f"t={t} outside 0..{k}")
-    if dual:
-        if h.dim < m * t:
-            raise PreconditionViolated("dim_F(H) < mt: complement not forced")
-        sub = Subspace.span(tower, "F", h.ambient, h.rows[:m * t])
-        v = _avoid_subspace(tower, k, sub, t)
-        if h.sum(flatten_subspace(v)) != Subspace.full(tower, "F", k * m):
-            raise CertificateError("H + W is not all of E^[k]")
-        return v
     if h.dim > m * t:
         raise PreconditionViolated("dim_F(H) > mt: no avoiding complement")
-    return _avoid_subspace(tower, k, h, t)
-
-
-def _avoid_subspace(tower: FieldTower, k: int, h: Subspace, t: int,
-                    ) -> Subspace:
-    """Greedy core: E-subspace V, dim k - t, meeting the F-subspace H only
-    at 0.  Scans encoded vectors ascending, keeping determinism."""
-    m = tower.m
     cur = h
     basis: List[Tuple[int, ...]] = []
     for _ in range(k - t):
-        z = _first_avoiding_subspace(tower, k, cur)
+        z = _first_avoiding(tower, k, lambda z: cur.intersection_dim(
+            _e_line(tower, z)) > 0)
         basis.append(z)
-        line = Subspace.span(tower, "E", k, [z])
-        cur = cur.sum(flatten_subspace(line))
+        cur = cur.sum(_e_line(tower, z))
     out = Subspace.span(tower, "E", k, basis)
     if out.dim != k - t or h.intersection_dim(flatten_subspace(out)) != 0:
         raise CertificateError("avoiding complement has the wrong "
                                "dimension or meets H")
     return out
-
-
-def _first_avoiding_subspace(tower: FieldTower, k: int,
-                             cur: Subspace) -> Tuple[int, ...]:
-    for z in _all_e_vectors(tower, k):
-        if z == (0,) * k:
-            continue
-        if not cur.contains_vector(flatten_vector(tower, z)):
-            # z's E-line meets cur only at 0 iff no bz with b != 0 lies in
-            # cur.  cur is F-linear, so z outside it puts every F-multiple
-            # (b < q) outside too; only the b in E \ F are left to test
-            if all(not cur.contains_vector(
-                    flatten_vector(tower, tuple(tower.E.mul(b, x) for x in z)))
-                    for b in range(tower.q, tower.order)):
-                return z
-    raise PreconditionViolated("greedy ran out of vectors")

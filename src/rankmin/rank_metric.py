@@ -94,24 +94,19 @@ class RankCode:
 
 def rank_support(tower: FieldTower, alpha: Sequence[int]) -> Subspace:
     """The F-row space of the coordinate matrix of alpha (basis-invariant)."""
-    mat = tower.expand(alpha)
-    return Subspace.span(tower, "F", len(alpha), mat)
+    return chi(tower, [alpha], len(alpha))
 
 
 def chi(tower: FieldTower, vectors: Sequence[Sequence[int]],
         n: int) -> Subspace:
     """Joint rank support of the E-span of the given vectors.
 
-    Uses the finite F-generating family {tau_i * v_j}: the rows of all
-    their coordinate matrices span the same F-space as the supports of the
-    whole E-span.
+    The rows of each vector's coordinate matrix suffice: rsupp(av) =
+    rsupp(v) for a != 0, and the support of a span is the sum of its
+    generators' supports.
     """
-    rows: List[Sequence[int]] = []
-    for v in vectors:
-        for tau in tower.basis:
-            scaled = [tower.E.mul(tau, x) for x in v]
-            rows.extend(tower.expand(scaled))
-    return Subspace.span(tower, "F", n, rows)
+    return Subspace.span(tower, "F", n,
+                         [row for v in vectors for row in tower.expand(v)])
 
 
 def chi_code(code: RankCode) -> Subspace:
@@ -234,9 +229,9 @@ def drop_weight_subcode(code: RankCode) -> RankCode:
 def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     """Largest support weight among s-dimensional subcodes: min(ms, wt(C)).
 
-    Returns the value together with a witness subcode, built by avoiding or
-    complementing the column span inside E^[k]; the witness's weight is
-    verified before returning.
+    Returns the value together with a witness subcode, built by avoiding
+    part of the column span inside E^[k]; the witness's weight is verified
+    before returning.
     """
     if not 0 <= s <= code.k:
         raise ValueError(f"s={s} outside 0..{code.k}")
@@ -246,12 +241,10 @@ def max_subcode_weight(code: RankCode, s: int) -> Tuple[int, RankCode]:
     value = min(m * s, wt_c)
     if s == 0:
         return 0, RankCode(tower, code.n, ())
-    if m * s <= wt_c:
-        # V with U + V = E^[k]: the witness subcode has weight exactly ms
-        v = avoid_complement(tower, k, u, s, dual=True)
-    else:
-        # W meeting U trivially: the witness keeps the full support
-        v = avoid_complement(tower, k, u, s)
+    # V avoiding the first min(ms, wt) RREF rows of U: the witness keeps
+    # the full support when ms > wt, and U + V = E^[k] (weight ms) else
+    v = avoid_complement(tower, k, Subspace.span(
+        tower, "F", u.ambient, u.rows[:m * s]), s)
     b = v.dual()  # the B <= E^k with Bdd = V
     witness = code.subcode(b)
     got = subcode_weight(code, b)

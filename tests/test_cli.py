@@ -1,11 +1,17 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
+import rankmin
 from rankmin import geometry, search, suites
 from rankmin.cli import EXIT_CHECK, run_command
+from rankmin.combinatorics import qbinom
 from rankmin.linalg import CertificateError
 
 GF4 = "p=2,e=1,m=2,ext=1,1,1"
@@ -141,6 +147,42 @@ def test_count_commands(capsys):
     code, out, _ = run(capsys, "count", "--q", "2", "--n", "3", "--r", "1",
                        "--kind", "qbinom")
     assert out.strip() == "7"
+
+
+def test_count_prints_exact_values_past_the_str_digit_limit(capsys):
+    """qbinom(2, 300, 150) has about 6,800 digits, past Python 3.11's
+    default int -> str limit of 4300."""
+    code, out, _ = run(capsys, "count", "--q", "2", "--n", "300", "--r",
+                       "150", "--json")
+    assert code == 0 and json.loads(out)["value"] == qbinom(2, 300, 150)
+    code, out, _ = run(capsys, "count", "--q", "2", "--n", "300", "--r",
+                       "150")
+    assert code == 0 and out.strip() == str(qbinom(2, 300, 150))
+    code, _, _ = run(capsys, "count", "--q", "2", "--m", "60", "--n", "200",
+                     "--r", "1")
+    assert code == 0
+
+
+def test_closed_pipe_exits_141_without_traceback(tmp_path):
+    """Output well over a pipe buffer, read in part: exit 128 + SIGPIPE."""
+    n = 40000
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({
+        "field": GF4, "n": n,
+        "rows": [[i % 4 for i in range(n)], [(3 * i + 1) % 4
+                                              for i in range(n)]]}))
+    src = str(pathlib.Path(rankmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with subprocess.Popen(
+            [sys.executable, "-m", "rankmin.cli", "wt", "--code",
+             str(code_file), "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(300)
+        proc.stdout.close()  # the reader goes away mid-output
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert len(head) == 300 and code == 141 and err == b""
 
 
 def test_bounds_command(capsys):
@@ -359,6 +401,14 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
      "--threads", "1"],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--scan-dim", "99",
      "--threads", "1"],
+    # options of the other omega mode
+    _scan_shard(1, 0) + ["--dim-cap", "1", "--json"],
+    _scan_shard(1, 0) + ["--budget", "0", "--time-budget", "0"],
+    _scan_shard(1, 0) + ["--cert-out", os.devnull],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
+     "--shards", "3", "--shard-index", "2", "--json"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
+     "--shard-index", "0"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -183,6 +183,36 @@ def test_linearity_index_lower_bound():
             assert linearity_index(tower, k, b) >= s
 
 
+def _linearity_by_grassmannian(tower, k, a):
+    """Oracle: the largest d with some d-dim E-subspace inside A."""
+    for d in range(min(k, a.dim // tower.m), 0, -1):
+        if any(a.contains(flatten_subspace(v))
+               for v in enumerate_subspaces(tower, "E", k, d)):
+            return d
+    return 0
+
+
+@pytest.mark.parametrize("tower,k", [
+    (GF4, 2), (GF4, 3), (GF8, 2),
+    (make_field(3, 2), 2),                       # odd p
+    (make_field(2, 2, e=2), 2),                  # GF(16)/GF(4)
+    (make_field(2, 3, basis=[1, 3, 7]), 2),      # custom basis
+], ids=lambda x: x.spec_string() if hasattr(x, "spec_string") else str(x))
+def test_linearity_index_matches_grassmannian_oracle(tower, k):
+    """The E-core (intersection of the tau^-1 A) has E-dimension equal to
+    the largest E-subspace found by searching the E-Grassmannians."""
+    rng = random.Random(101)
+    m = tower.m
+    for _ in range(12):
+        # an E-subspace of random dimension plus random F-vectors
+        evecs = [tuple(rng.randrange(tower.order) for _ in range(k))
+                 for _ in range(rng.randrange(0, k))]
+        a = flatten_subspace(Subspace.span(tower, "E", k, evecs))
+        a = a.sum(random_fsub(tower, k, rng.randrange(0, k * m), rng))
+        assert linearity_index(tower, k, a) == \
+            _linearity_by_grassmannian(tower, k, a)
+
+
 def test_cutting_dimension_characterizations():
     rng = random.Random(83)
     for tower, k in ((GF4, 2), (GF8, 2), (GF4, 3)):
@@ -215,6 +245,8 @@ def test_avoid_complement_examples():
 
 
 def test_avoid_complement_dual_form():
+    """dim_F(B) >= mt: avoiding the first mt RREF rows of B (the form that
+    max_subcode_weight uses) gives V with dim_E V = k - t and B + V = E^[k]."""
     rng = random.Random(89)
     for tower, k in ((GF4, 2), (GF8, 2), (GF4, 3)):
         m = tower.m
@@ -222,7 +254,8 @@ def test_avoid_complement_dual_form():
         for _ in range(10):
             t = rng.randrange(0, k + 1)
             b = random_fsub(tower, k, rng.randrange(m * t, k * m + 1), rng)
-            w = avoid_complement(tower, k, b, t, dual=True)
+            head = Subspace.span(tower, "F", k * m, b.rows[:m * t])
+            w = avoid_complement(tower, k, head, t)
             assert w.dim == k - t
             assert b.sum(flatten_subspace(w)) == full
 
@@ -244,9 +277,6 @@ def test_avoid_complement_precondition_errors():
     h = Subspace.full(GF4, "F", 4)
     with pytest.raises(PreconditionViolated):
         avoid_complement(GF4, 2, h, 1)  # dim 4 > m*t = 2
-    small = Subspace.span(GF4, "F", 4, [(1, 0, 0, 0)])
-    with pytest.raises(PreconditionViolated):
-        avoid_complement(GF4, 2, small, 1, dual=True)  # dim 1 < m*t = 2
 
 
 def test_avoid_set_prop41():

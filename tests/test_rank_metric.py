@@ -68,6 +68,30 @@ def test_chi_examples():
     assert chi_code(C32).dim == 3
 
 
+def _chi_tau_scaled(tower, vectors, n):
+    """Oracle: the supports of the F-generating family {tau * v}."""
+    rows = [row for v in vectors for tau in tower.basis
+            for row in tower.expand([tower.E.mul(tau, x) for x in v])]
+    return Subspace.span(tower, "F", n, rows)
+
+
+@pytest.mark.parametrize("tower", [
+    GF4, GF8,
+    make_field(3, 2),                        # odd p
+    make_field(2, 2, e=2),                   # GF(16)/GF(4)
+    make_field(2, 3, basis=[1, 3, 7]),       # custom basis
+], ids=lambda t: t.spec_string())
+def test_chi_matches_tau_scaled_oracle(tower):
+    """One coordinate matrix per vector spans the same support as the m
+    scalings tau * v of each."""
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(1, 5)
+        vecs = [tuple(rng.randrange(tower.order) for _ in range(n))
+                for _ in range(rng.randrange(0, 4))]
+        assert chi(tower, vecs, n) == _chi_tau_scaled(tower, vecs, n)
+
+
 def test_column_support_examples():
     assert column_support(C32).dim == 3
     ident = RankCode(GF4, 2, [(1, 0), (0, 1)])
