@@ -97,15 +97,21 @@ def _emit(args, obj: dict, text: str) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be at least 1, "
-                             f"got {args.threads}")
-        return args.threads
+    """``--threads``, else a nonempty ``RANKMIN_THREADS``, else the CPU
+    count.  A given count must be an integer of at least 1."""
     env = os.environ.get("RANKMIN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if args.threads is None and not env:
+        return os.cpu_count() or 1
+    name, value = (("RANKMIN_THREADS", env) if args.threads is None
+                   else ("--threads", str(args.threads)))
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise UsageError(f"{name} must be an integer of at least 1, "
+                         f"got {value}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +233,18 @@ def _cmd_count(args) -> int:
     kind = args.kind
     if kind == "auto":
         kind = "r-minimal" if args.m is not None else "qbinom"
-    if kind == "qbinom":
-        val = qbinom(args.q, args.n, args.r)
-        obj = {"kind": "qbinom", "q": args.q, "n": args.n, "r": args.r,
-               "value": val}
-    elif kind == "qdelta":
-        val = qdelta(args.q, args.n, args.r)
-        obj = {"kind": "qdelta", "q": args.q, "n": args.n, "r": args.r,
-               "value": val}
-    else:  # r-minimal, the one kind left among argparse's choices
+    if kind == "r-minimal":
         if args.m is None:
             raise UsageError("count -k r-minimal needs --m")
-        val = count_r_minimal(args.q, args.m, args.n, args.r)
-        obj = {"kind": "r-minimal", "q": args.q, "m": args.m,
-               "n": args.n, "r": args.r, "value": val}
+        obj = {"kind": kind, "q": args.q, "m": args.m, "n": args.n,
+               "r": args.r,
+               "value": count_r_minimal(args.q, args.m, args.n, args.r)}
+    else:  # qbinom or qdelta, the kinds left among argparse's choices
+        if args.m is not None:
+            raise UsageError(f"--m: not valid with --kind {kind}")
+        value = (qbinom if kind == "qbinom" else qdelta)(args.q, args.n, args.r)
+        obj = {"kind": kind, "q": args.q, "n": args.n, "r": args.r,
+               "value": value}
     _emit(args, obj, str(obj["value"]))
     return EXIT_OK
 

@@ -47,7 +47,7 @@ from .combinatorics import (
     omega_bounds,
     qbinom,
 )
-from .fields import FieldTower, digits_to_int, int_to_digits
+from .fields import FieldTower, int_to_digits
 from .geometry import cutting_evasive_params, is_cutting, is_evasive
 from .linalg import (
     ENUM_ORDER_TAG,
@@ -108,7 +108,6 @@ class Certificate:
 class ScanResult:
     dimension: int
     visited: int
-    complete: bool
     witness: Optional[Subspace] = None
 
 
@@ -116,7 +115,7 @@ class ScanResult:
 class OmegaResult:
     value: int
     witness_certificate: Certificate
-    exhaustion_certificate: Optional[Certificate]
+    exhaustion_certificate: Certificate
     bounds_lower: int
     bounds_upper: int
     paper_verified: bool
@@ -129,9 +128,7 @@ class OmegaResult:
             "paper_verified": self.paper_verified,
             "visited_total": self.visited_total,
             "witness_certificate": self.witness_certificate.to_json(),
-            "exhaustion_certificate": (
-                self.exhaustion_certificate.to_json()
-                if self.exhaustion_certificate else None),
+            "exhaustion_certificate": self.exhaustion_certificate.to_json(),
         }
 
 
@@ -185,15 +182,6 @@ class _LineTable:
                 v |= dgt << (w * (c * e + i))
         return v
 
-    def unpack(self, v: int, ncols: int) -> Tuple[int, ...]:
-        """The first ``ncols`` F-coordinates of a packed int."""
-        p, e, w = self.tower.p, self.tower.e, self.width
-        mask = (1 << w) - 1
-        return tuple(
-            digits_to_int([(v >> (w * (c * e + i))) & mask
-                           for i in range(e)], p)
-            for c in range(ncols))
-
 
 # A command scans one (tower, k): keep only its table (up to about 160 MB).
 @functools.lru_cache(maxsize=1)
@@ -206,18 +194,21 @@ def _line_table(tower: FieldTower, k: int) -> _LineTable:
 # ---------------------------------------------------------------------------
 
 
+def _pivot_sets(ambient: int, d: int, shards: int = 1, shard_index: int = 0,
+                ) -> Iterator[Tuple[int, ...]]:
+    """The shard's pivot sets in enumeration order, lazily: a contiguous
+    index range, for ``--shards``/``--shard-index`` orchestration."""
+    per = -(-math.comb(ambient, d) // shards)
+    return itertools.islice(itertools.combinations(range(ambient), d),
+                            shard_index * per, (shard_index + 1) * per)
+
+
 def _units(ambient: int, d: int, order: int,
            shards: int = 1, shard_index: int = 0,
            ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     """Work units (pivots, fill_lo, fill_hi) in enumeration order, made
-    lazily, so a budget or a shard never waits for the whole list.
-
-    Sharding keeps contiguous pivot-set index ranges together so external
-    orchestration can split by ``--shards``/``--shard-index``.
-    """
-    per = -(-math.comb(ambient, d) // shards)
-    for pivots in itertools.islice(itertools.combinations(range(ambient), d),
-                                   shard_index * per, (shard_index + 1) * per):
+    lazily, so a budget or a shard never waits for the whole list."""
+    for pivots in _pivot_sets(ambient, d, shards, shard_index):
         nfill = order ** len(free_cells(pivots, ambient))
         for lo in range(0, nfill, _FILL_CHUNK):
             yield pivots, lo, min(lo + _FILL_CHUNK, nfill)
@@ -232,17 +223,14 @@ def _scan_unit_line(table: _LineTable, t: int,
     q^t - 1 nonzero elements of S.  The nonzero elements are walked
     in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
     (beta_j = x^j, a GF(p)-basis of F): step i adds generator v_p(i), so
-    each element costs one vector add and one line lookup.
+    each element costs one vector add and one line lookup.  Needs t >= 1:
+    ``_scan_evasive`` settles t <= 0 without a kernel.
 
     Returns (visited, witness rows or None).
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
     ambient = table.k * m
-    if t <= 0:
-        # nothing is evasive: a line through any nonzero element of S
-        # holds more than q^t - 1 <= 0 of them, and S = 0 spans nothing
-        return hi - lo, None
     # A row is held as its e scalings beta_j * row side by side, block j
     # from bit j * block on.  Every slot holds exactly one digit, so
     # changing a cell's value is a plain integer add.
@@ -331,7 +319,7 @@ def _scan_unit_line(table: _LineTable, t: int,
                     else:
                         seen[lid] = c + 1
         if ok and witness is None:
-            flat = tuple(table.unpack(w, ambient) for w in rows)
+            flat = next(walk_fills(pivots, ambient, q, fill, fill + 1))
             sub = Subspace(tower, "F", ambient, flat, pivots)
             if espan_of_flat(sub).dim == table.k:
                 witness = flat
@@ -392,12 +380,21 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
                   budget: Optional[int] = None) -> ScanResult:
     """Scan every d-dimensional F-subspace of E^[k] for an (h,t)-evasive
     one, in enumeration order.  Deterministic for any thread count.  The
-    budget is checked after each work unit, whose witness still counts."""
+    budget is checked after each work unit, whose witness still counts.
+    A dimension where no candidate passes, d < k (no E-span E^k) or
+    t < min(h, 1) (an E-line, or for h = 0 the zero E-subspace, already
+    meets S in more than t), builds no unit: it is counted per pivot set."""
     global _UNIT_WORKER
     if not 0 <= shard_index < shards:
         raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
                          f"got shards={shards}, shard_index={shard_index}")
     ambient = k * tower.m
+    if d < k or t < min(h, 1):
+        visited = sum(tower.q ** len(free_cells(pivots, ambient)) for pivots
+                      in _pivot_sets(ambient, d, shards, shard_index))
+        if budget is not None and visited > budget:
+            raise BudgetExceeded(d, d, [])
+        return ScanResult(d, visited)
     units = _units(ambient, d, tower.q, shards, shard_index)
     head = list(itertools.islice(units, 2))
     units = itertools.chain(head, units)
@@ -422,10 +419,10 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
             if rows is not None and witness is None:
                 witness = Subspace.span(tower, "F", ambient, rows)
                 if stop_at_first:
-                    return ScanResult(d, visited_total, False, witness)
+                    return ScanResult(d, visited_total, witness)
             if budget is not None and visited_total > budget:
                 raise BudgetExceeded(d, d, [])
-    return ScanResult(d, visited_total, True, witness)
+    return ScanResult(d, visited_total, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
 
 
 def _check_budget(name: str, value: Optional[float]) -> None:
-    if value is not None and value < 0:
+    if value is not None and not value >= 0:    # NaN fails too
         raise ValueError(f"{name} {value} must be nonnegative")
 
 
@@ -454,30 +451,31 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     """
     _check_budget("node budget", budget)
     _check_budget("time budget", time_budget_s)
-    m = tower.m
-    bounds = omega_bounds(m, k, r)
+    bounds = omega_bounds(tower.m, k, r)
     if dim_cap is not None and dim_cap < bounds.lower:
         raise ValueError(f"dim cap {dim_cap} is below the rule lower bound "
                          f"{bounds.lower}")
-    hard_cap = k * m if dim_cap is None else min(dim_cap, k * m)
+    hard_cap = k * tower.m if dim_cap is None else min(dim_cap, k * tower.m)
     spec = tower.spec_string()
     visited_total = 0
     certs: List[Certificate] = []
     deadline = (None if time_budget_s is None
                 else time.monotonic() + time_budget_s)
 
+    def scan(dim: int, stop_at_first: bool, bracket: Tuple[int, int],
+             held: List[Certificate]) -> ScanResult:
+        # a spent budget or a passed deadline reports the caller's bracket
+        remaining = None if budget is None else budget - visited_total
+        if not (remaining is not None and remaining <= 0 or
+                deadline is not None and time.monotonic() > deadline):
+            with contextlib.suppress(BudgetExceeded):
+                return scan_dimension(tower, k, r, dim, stop_at_first,
+                                      threads, budget=remaining)
+        raise BudgetExceeded(*bracket, held)
+
     d = bounds.lower
     while d <= hard_cap:
-        remaining = None if budget is None else budget - visited_total
-        if remaining is not None and remaining <= 0:
-            raise BudgetExceeded(d, bounds.upper, certs)
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(d, bounds.upper, certs)
-        try:
-            res = scan_dimension(tower, k, r, d, stop_at_first=True,
-                                 threads=threads, budget=remaining)
-        except BudgetExceeded:
-            raise BudgetExceeded(d, bounds.upper, certs) from None
+        res = scan(d, True, (d, bounds.upper), certs)
         visited_total += res.visited
         if res.witness is None:
             certs.append(_exhaustion_certificate(tower, spec, k, r, d, res))
@@ -491,12 +489,7 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
         else:
             # a budget spent here still leaves [d, d]: the rules give the
             # lower end, and the witness (carried for checking) the upper
-            remaining = None if budget is None else budget - visited_total
-            try:
-                below = scan_dimension(tower, k, r, d - 1, stop_at_first=False,
-                                       threads=threads, budget=remaining)
-            except BudgetExceeded:
-                raise BudgetExceeded(d, d, certs + [witness_cert]) from None
+            below = scan(d - 1, False, (d, d), certs + [witness_cert])
             visited_total += below.visited
             if below.witness is not None:
                 raise CertificateError("witness below the rule lower "
@@ -565,6 +558,8 @@ def census_codes(tower: FieldTower, n: int, k: int,
     distribution, and optionally constant-weight codes."""
     if r is not None and r < 0:
         raise ValueError("r must be nonnegative")
+    if constant_weight_r is not None and not 1 <= constant_weight_r < k:
+        raise ValueError(f"constant weight r outside 1..{k - 1}")
     _check_budget("node budget", budget)
     total = qbinom(tower.order, n, k)
     if budget is not None and total > budget:
@@ -577,11 +572,9 @@ def census_codes(tower: FieldTower, n: int, k: int,
         seen += 1
         wt = weight(code)
         weight_dist[wt] = weight_dist.get(wt, 0) + 1
-        # r = 0 and r >= k are vacuous: every code is r-minimal
-        if r is not None and (not 0 < r < k
-                              or is_r_minimal(code, r).verdict):
+        if r is not None and is_r_minimal(code, r).verdict:
             minimal += 1
-        if (constant_weight_r is not None and k >= 2 and
+        if (constant_weight_r is not None and
                 constant_weight_class(code, constant_weight_r).is_constant):
             constant += 1
     if seen != total:
@@ -621,9 +614,8 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
     if not 0 <= h <= k:
         raise ValueError(f"h={h} outside 0..{k}")
     _check_budget("node budget", budget)
-    m = tower.m
     visited = 0
-    for d in range(k * m, -1, -1):
+    for d in range(k * tower.m, -1, -1):
         remaining = None if budget is None else budget - visited
         try:
             res = _scan_evasive(tower, k, h, t, d, budget=remaining)
@@ -631,7 +623,9 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
             raise BudgetExceeded(0, d, []) from None
         visited += res.visited
         if res.witness is not None:
-            _check_evasive_caps(m, k, h, t, d)
+            _check_evasive_caps(tower.m, k, h, t, d)
+            if not is_evasive(tower, k, res.witness, h, t)[0]:
+                raise CertificateError("witness failed re-verification")
             return d, res.witness
         _check_exhausted(tower, k, res)
     return None, None

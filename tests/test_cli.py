@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -271,6 +272,45 @@ def test_omega_budget_brackets(capsys, monkeypatch, limit):
     assert [c["exhaustion"]["dimension"] for c in obj["certificates"]] == [3]
 
 
+@pytest.mark.parametrize("budget", [1, 2, 35])
+def test_omega_budget_spent_on_a_counted_dimension(capsys, budget):
+    # GF(4), k=2, r=1: the witness at d = 3 costs 1 node, and d = 2 has
+    # t = -1, so its 35 subspaces are counted, not scanned.  The budget
+    # runs out before that count (1) or inside it (2, 35): the rules and
+    # the witness still give [3, 3]
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "2",
+                       "--r", "1", "--threads", "1", "--budget", str(budget),
+                       "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["bracket"] == [3, 3]
+    assert [(c["kind"], c["params"]["dimension"])
+            for c in obj["certificates"]] == [("witness", 3)]
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "2",
+                       "--r", "1", "--threads", "1", "--budget", "36",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["exhaustion_certificate"]["exhaustion"][
+        "total_visited"] == qbinom(2, 4, 2) == 35
+
+
+def test_omega_deadline_checked_before_the_d_minus_1_sweep(capsys,
+                                                           monkeypatch):
+    # the clock passes the deadline after the witness at d = 3: the d - 1
+    # sweep does not start, and the bracket is [3, 3]
+    ticks = itertools.chain([0.0, 0.0], itertools.repeat(10.0))
+    monkeypatch.setattr(search, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "2",
+                       "--r", "1", "--threads", "1", "--time-budget", "1",
+                       "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert obj["bracket"] == [3, 3]
+    assert [(c["kind"], c["params"]["dimension"])
+            for c in obj["certificates"]] == [("witness", 3)]
+
+
 def test_census_budget_exit(capsys):
     # 21 codes to visit, one allowed
     code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
@@ -409,6 +449,18 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
      "--shards", "3", "--shard-index", "2", "--json"],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
      "--shard-index", "0"],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
+     "--time-budget", "nan", "--json"],                    # never passes
+    ["census", "--field", GF4, "--n", "3", "--k", "1",
+     "--constant-weight", "1"],                            # needs k >= 2
+    ["census", "--field", GF4, "--n", "3", "--k", "2",
+     "--constant-weight", "2"],                            # r >= k
+    ["census", "--field", GF4, "--n", "1", "--k", "2",
+     "--constant-weight", "5"],                            # n < k: no codes
+    ["count", "--q", "2", "--n", "3", "--r", "1", "--kind", "qbinom",
+     "--m", "5"],
+    ["count", "--q", "2", "--n", "3", "--r", "1", "--kind", "qdelta",
+     "--m", "5"],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -441,6 +493,24 @@ def test_verify_suite_at_reference_settings(capsys):
 
 def test_rankmin_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("RANKMIN_THREADS", "1")
+    code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "2",
+                       "--r", "1", "--json")
+    assert code == 0 and json.loads(out)["value"] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_rankmin_threads_env_must_be_a_positive_integer(capsys, monkeypatch,
+                                                        value):
+    # the --threads rule: an integer of at least 1, else exit 2
+    monkeypatch.setenv("RANKMIN_THREADS", value)
+    code, _, err = run(capsys, "omega", "--field", GF4, "--k", "2",
+                       "--r", "1", "--json")
+    assert code == 2
+    assert err.startswith("error: RANKMIN_THREADS") and "Traceback" not in err
+
+
+def test_rankmin_threads_env_empty_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("RANKMIN_THREADS", "")
     code, out, _ = run(capsys, "omega", "--field", GF4, "--k", "2",
                        "--r", "1", "--json")
     assert code == 0 and json.loads(out)["value"] == 3

@@ -77,7 +77,7 @@ def test_scan_dimension_counts_and_shards():
     assert total == qbinom(2, 4, 2)
     full = scan_dimension(GF4, 2, 1, 2, stop_at_first=False)
     assert full.visited == qbinom(2, 4, 2)
-    assert full.complete and full.witness is None
+    assert full.witness is None
 
 
 @pytest.mark.parametrize("tower, k, r, d, stop, shards, index, found", [
@@ -97,8 +97,7 @@ def test_scan_dimension_threads_deterministic(tower, k, r, d, stop, shards,
     a, b = (scan_dimension(tower, k, r, d, stop_at_first=stop,
                            threads=threads, shards=shards, shard_index=index)
             for threads in (1, 2))
-    assert (a.visited, a.complete, a.witness) == \
-        (b.visited, b.complete, b.witness)
+    assert (a.visited, a.witness) == (b.visited, b.witness)
     assert (a.witness is not None) == found
 
 
@@ -124,6 +123,40 @@ def test_units_are_lazy():
         ((0, 1), 0, 1 << 16), ((0, 1), 1 << 16, 2 << 16)]
 
 
+def _no_unit(*args, **kwargs):
+    raise AssertionError("a unit was built on a dimension nothing passes")
+
+
+def test_lemma_dimensions_build_no_unit(monkeypatch):
+    # t < min(h, 1) or d < k: no candidate can pass, so the dimension is
+    # counted per pivot set without a unit or a kernel
+    for name in ("_units", "_scan_unit_line", "_scan_unit_generic"):
+        monkeypatch.setattr(search, name, _no_unit)
+    # GF(32), k=3, r=1, d=6: (h, t) = (1, 0), 6.1e16 candidates
+    res = scan_dimension(make_field(2, 5), 3, 1, 6)
+    assert (res.visited, res.witness) == (qbinom(2, 15, 6), None)
+    # d < k with a vacuous t, on the generic kernel's h = 2
+    res = search._scan_evasive(GF4, 3, 2, 6, 2, stop_at_first=False)
+    assert (res.visited, res.witness) == (qbinom(2, 6, 2), None)
+    # h = 0, t = -1: the zero E-subspace already meets S in 0 > t
+    res = search._scan_evasive(GF8, 2, 0, -1, 3)
+    assert (res.visited, res.witness) == (qbinom(2, 6, 3), None)
+
+
+def test_lemma_dimension_shards_count_their_units():
+    # GF(8), k=3, r=1, d=4 has t = 0: each shard's total is the fills of
+    # its own units, and the shards add up to the q-binomial
+    totals = []
+    for idx in range(5):
+        res = scan_dimension(GF8, 3, 1, 4, stop_at_first=False, threads=2,
+                             shards=5, shard_index=idx)
+        assert res.witness is None
+        assert res.visited == sum(hi - lo for _, lo, hi
+                                  in _units(9, 4, 2, 5, idx))
+        totals.append(res.visited)
+    assert sum(totals) == qbinom(2, 9, 4)
+
+
 def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
     """Run the line kernel over a sample of candidates, resuming after each
     witness, and compare every verdict with the definition route.
@@ -131,6 +164,7 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
     table = search._line_table(tower, k)
     ambient = k * tower.m
     _, t = cutting_evasive_params(tower.m, k, r, d)
+    assert t >= 1, "t <= 0 is settled by _scan_evasive before any kernel"
     cutting = 0
     pivot_sets = itertools.combinations(range(ambient), d)
     for pivots in itertools.islice(pivot_sets, 0, None, pivot_step):
@@ -162,13 +196,14 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
 def test_line_kernel_agrees_with_definition(tower):
     m, q = tower.m, tower.q
     cutting = 0
-    # k = 2, r = 0: t = d - 1 runs from t < 0 (d = 0) to t >= m (d = 2m)
-    for d in range(2 * m + 1):
+    # the kernel runs where t >= 1; t <= 0 never reaches it, and the
+    # enumeration-oracle and lemma tests cover those rows
+    # k = 2, r = 0: t = d - 1 runs from 1 (d = 2) to t >= m (d = 2m)
+    for d in range(2, 2 * m + 1):
         cutting += _check_line_kernel(tower, 2, 0, d, 12, 1)
-    # k = 3, r = 1: t = d - m - 1 < 0, = 0 (spanning candidates exist),
-    # in (0, m) and >= m
+    # k = 3, r = 1: t = d - m - 1 in (0, m) and >= m
     if q ** (3 * m) <= 1024:
-        for d in (m, m + 1, 2 * m, 2 * m + 1, 3 * m):
+        for d in (2 * m, 2 * m + 1, 3 * m):
             cutting += _check_line_kernel(tower, 3, 1, d, 2, 7)
     assert cutting > 0
 
@@ -313,8 +348,8 @@ def test_max_evasive_checks_the_certified_caps(capsys, monkeypatch, spec, k,
     # a sweep that reports a witness at every dimension puts the answer at
     # km; a cap that evasive_bound_certifies proves below km must catch it
     def witness_everywhere(tower, k, h, t, d, **kwargs):
-        zero = Subspace.span(tower, "F", k * tower.m, [])
-        return search.ScanResult(d, 1, True, zero)
+        # F^(km) itself: it spans E^[k], so only a cap can refuse it
+        return search.ScanResult(d, 1, Subspace.full(tower, "F", k * tower.m))
 
     monkeypatch.setattr(search, "_scan_evasive", witness_everywhere)
     code = run_command(["evasive-max", "--field", spec, "--k", str(k),
@@ -323,6 +358,19 @@ def test_max_evasive_checks_the_certified_caps(capsys, monkeypatch, spec, k,
     if exit_code:
         assert "beats a certified cap" in capsys.readouterr().err
 
+
+
+def test_max_evasive_reverifies_its_witness(capsys, monkeypatch):
+    # the scan's witness is rebuilt from the walk, so evasive-max checks it
+    # again: a zero subspace at km passes the caps but spans nothing
+    def zero_witness(tower, k, h, t, d, **kwargs):
+        return search.ScanResult(d, 1, Subspace.zero(tower, "F", k * tower.m))
+
+    monkeypatch.setattr(search, "_scan_evasive", zero_witness)
+    code = run_command(["evasive-max", "--field", "p=2,e=1,m=3,ext=1,1,0,1",
+                        "--k", "1", "--h", "0", "--t", "0", "--json"])
+    assert code == 4
+    assert "witness failed re-verification" in capsys.readouterr().err
 
 def test_max_evasive_examples():
     dim, wit = max_evasive_dim(GF4, 2, 1, 1)
