@@ -74,7 +74,10 @@ def is_evasive(tower: FieldTower, k: int, j: Subspace, h: int, t: int,
 
 def cutting_evasive_params(m: int, k: int, r: int, d: int) -> Tuple[int, int]:
     """(h, t) = (k-r-1, d-mr-1): a d-dimensional F-subspace of E^[k] is a
-    cutting r-blocking set iff it is (h,t)-evasive.  Needs 0 <= r <= k-1."""
+    cutting r-blocking set iff it is (h,t)-evasive.  Needs k >= 1 and
+    0 <= r <= k-1."""
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if not 0 <= r <= k - 1:
         raise ValueError(f"r={r} outside 0..{k - 1}")
     return k - r - 1, d - m * r - 1

@@ -9,13 +9,13 @@ minimal length is certified by a witness at dimension d plus an exhaustion
 record at d-1, which always runs, so the value never rests on the
 closed-form bounds alone.
 
-For h = 1 the evasiveness test runs on packed rows over every tower
-GF(p^(em))/GF(p^e) whose F^(km) fits a line table: every nonzero vector
-of F^(km) lies on exactly one E-line, so a candidate fails as soon as
-some line has seen more than q^t - 1 of its span elements.  Other h go
-through the generic decider ``is_evasive``.  The line kernel counts the
-order of ``linalg.walk_fills`` in place on packed rows, because stepping
-the shared walk costs more than its line test of a candidate.
+One unit kernel serves every (h, t): ``is_evasive`` decides each
+candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
+filter on packed rows runs first: every E-line lies in some h-dimensional
+E-subspace, so a candidate fails as soon as some line has seen more than
+q^t - 1 of its span elements.  The filter counts the order of
+``linalg.walk_fills`` in place on packed rows, because stepping the shared
+walk costs more than its line test of a candidate.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -54,7 +54,6 @@ from .linalg import (
     CertificateError,
     Subspace,
     enumerate_subspaces,
-    espan_of_flat,
     free_cells,
     walk_fills,
 )
@@ -133,11 +132,11 @@ class OmegaResult:
 
 
 # ---------------------------------------------------------------------------
-# E-line tables for the h = 1 line kernel.
+# E-line tables for the line filter.
 # ---------------------------------------------------------------------------
 
 # Largest |F^(km)| = q^(km) that a line table indexes; larger towers scan
-# with the generic kernel.  For p = 2 the table is a list of one pointer a
+# without the line filter.  For p = 2 the table is a list of one pointer a
 # vector; for odd p it is a dict of about 85 bytes a vector, about 160 MB
 # at 5^9 vectors.
 _LINE_TABLE_LIMIT = 1 << 22
@@ -214,19 +213,14 @@ def _units(ambient: int, d: int, order: int,
             yield pivots, lo, min(lo + _FILL_CHUNK, nfill)
 
 
-def _scan_unit_line(table: _LineTable, t: int,
-                    pivots: Tuple[int, ...], lo: int, hi: int,
-                    stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
-    """Scan one unit with the E-line test (h = 1).
-
-    S is (1,t)-evasive iff <S>_E = E^k and no E-line holds more than
-    q^t - 1 nonzero elements of S.  The nonzero elements are walked
-    in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
-    (beta_j = x^j, a GF(p)-basis of F): step i adds generator v_p(i), so
-    each element costs one vector add and one line lookup.  Needs t >= 1:
-    ``_scan_evasive`` settles t <= 0 without a kernel.
-
-    Returns (visited, witness rows or None).
+def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
+                    lo: int, hi: int) -> Iterator[int]:
+    """The fills in lo..hi-1 whose span puts at most q^t - 1 nonzero
+    elements on every E-line.  The nonzero elements are walked in modular
+    p-ary Gray order over the GF(p)-generators beta_j * row_i (beta_j = x^j,
+    a GF(p)-basis of F): step i adds generator v_p(i), so each element costs
+    one vector add and one line lookup.  Needs t >= 1: ``_scan_evasive``
+    settles t <= 0 without a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
@@ -266,15 +260,12 @@ def _scan_unit_line(table: _LineTable, t: int,
     ones = sum(1 << (table.width * s) for s in range(ambient * e))
     carry = ((1 << top_bit) - p) * ones
     cap = q ** t - 1
-    vacuous = t >= m                 # cap >= q^m - 1, all of a line
     line_of = table.line_of
     # seen[line] is base + (hits - 1) once the current candidate has hit
     # the line, and below base otherwise
     seen = [0] * table.num_lines
     base = 0
     last = q - 1
-    visited = 0
-    witness = None
     for fill in range(lo, hi):
         if fill != lo:
             j = 0
@@ -285,71 +276,68 @@ def _scan_unit_line(table: _LineTable, t: int,
             a = digits[j]
             digits[j] = a + 1
             rows[cell_row[j]] += step[j][a]
-        visited += 1
         ok = True
-        if not vacuous:
-            if e > 1:
-                gens = [(w >> sh) & low_block for w in rows for sh in split]
-            base += cap
-            full = base + cap - 1
-            v = 0
-            if p == 2:
-                for g in walk:
-                    v ^= gens[g]
-                    lid = line_of[v]
-                    c = seen[lid]
-                    if c < base:
-                        seen[lid] = base
-                    elif c == full:
-                        ok = False
-                        break
-                    else:
-                        seen[lid] = c + 1
-            else:
-                for g in walk:
-                    s = v + gens[g]
-                    v = s - p * (((s + carry) >> top_bit) & ones)
-                    lid = line_of[v]
-                    c = seen[lid]
-                    if c < base:
-                        seen[lid] = base
-                    elif c == full:
-                        ok = False
-                        break
-                    else:
-                        seen[lid] = c + 1
-        if ok and witness is None:
-            flat = next(walk_fills(pivots, ambient, q, fill, fill + 1))
-            sub = Subspace(tower, "F", ambient, flat, pivots)
-            if espan_of_flat(sub).dim == table.k:
-                witness = flat
-                if stop_at_first:
-                    return visited, witness
-    return visited, witness
+        if e > 1:
+            gens = [(w >> sh) & low_block for w in rows for sh in split]
+        base += cap
+        full = base + cap - 1
+        v = 0
+        if p == 2:
+            for g in walk:
+                v ^= gens[g]
+                lid = line_of[v]
+                c = seen[lid]
+                if c < base:
+                    seen[lid] = base
+                elif c == full:
+                    ok = False
+                    break
+                else:
+                    seen[lid] = c + 1
+        else:
+            for g in walk:
+                s = v + gens[g]
+                v = s - p * (((s + carry) >> top_bit) & ones)
+                lid = line_of[v]
+                c = seen[lid]
+                if c < base:
+                    seen[lid] = base
+                elif c == full:
+                    ok = False
+                    break
+                else:
+                    seen[lid] = c + 1
+        if ok:
+            yield fill
 
 
-def _scan_unit_generic(tower: FieldTower, k: int, h: int, t: int,
-                       pivots: Tuple[int, ...], lo: int, hi: int,
-                       stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
-    ambient = k * tower.m
-    visited = 0
-    witness = None
-    for rows in walk_fills(pivots, ambient, tower.q, lo, hi):
+def _line_test_applies(tower: FieldTower, k: int, h: int, t: int) -> bool:
+    """Does an (h,t)-evasive scan of E^[k] run the E-line filter?  It is
+    valid for h >= 1, rejects nothing when t >= m and needs a line table."""
+    return (h >= 1 and t < tower.m and
+            tower.q ** (k * tower.m) <= _LINE_TABLE_LIMIT)
+
+
+def _scan_unit(tower: FieldTower, k: int, h: int, t: int,
+               line_test: Optional[_LineTable],
+               pivots: Tuple[int, ...], lo: int, hi: int,
+               stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
+    """Scan one unit, returning (visited, witness rows or None).  Every
+    candidate, or with a line table every survivor of the line filter, goes
+    through ``is_evasive``; past the first witness fills are only counted."""
+    ambient, q = k * tower.m, tower.q
+    if line_test is None:
+        candidates = enumerate(walk_fills(pivots, ambient, q, lo, hi), lo)
+    else:
+        candidates = ((fill, next(walk_fills(pivots, ambient, q,
+                                             fill, fill + 1)))
+                      for fill in _line_survivors(line_test, t, pivots,
+                                                  lo, hi))
+    for fill, rows in candidates:
         sub = Subspace(tower, "F", ambient, rows, pivots)
-        visited += 1
-        if witness is None and is_evasive(tower, k, sub, h, t)[0]:
-            witness = sub.rows
-            if stop_at_first:
-                return visited, witness
-    return visited, witness
-
-
-def scan_kernel(tower: FieldTower, k: int, h: int) -> str:
-    """The kernel an (h,t)-evasive scan of E^[k] runs: ``"line"`` when
-    h = 1 and F^(km) fits a line table, else ``"generic"``."""
-    if h == 1 and tower.q ** (k * tower.m) <= _LINE_TABLE_LIMIT:
-        return "line"
-    return "generic"
+        if is_evasive(tower, k, sub, h, t)[0]:
+            return (fill - lo + 1 if stop_at_first else hi - lo), sub.rows
+    return hi - lo, None
 
 
 # The unit worker of the running scan, (pivots, lo, hi) -> (visited, witness
@@ -398,13 +386,10 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
     units = _units(ambient, d, tower.q, shards, shard_index)
     head = list(itertools.islice(units, 2))
     units = itertools.chain(head, units)
-    if scan_kernel(tower, k, h) == "line":
-        _UNIT_WORKER = functools.partial(
-            _scan_unit_line, _line_table(tower, k), t,
-            stop_at_first=stop_at_first)
-    else:
-        _UNIT_WORKER = functools.partial(
-            _scan_unit_generic, tower, k, h, t, stop_at_first=stop_at_first)
+    table = (_line_table(tower, k) if _line_test_applies(tower, k, h, t)
+             else None)
+    _UNIT_WORKER = functools.partial(_scan_unit, tower, k, h, t, table,
+                                     stop_at_first=stop_at_first)
     visited_total = 0
     witness: Optional[Subspace] = None
     with contextlib.ExitStack() as stack:

@@ -119,16 +119,16 @@ def test_failed_check_exits_4(capsys, monkeypatch):
     assert err.startswith("error: cutting routes disagree")
 
 
-def test_line_table_too_large_scans_generic(capsys, monkeypatch):
-    # |F^(km)| = 2^24 exceeds the line-table limit: the h = 1 scan runs the
-    # generic kernel instead of building the table
+def test_line_table_too_large_is_not_built(capsys, monkeypatch):
+    # |F^(km)| = 2^24 exceeds the line-table limit: the h = 1, t = 1 scan
+    # decides its one candidate without the line filter's table
     def no_table(tower, k):
         raise AssertionError("line table built")
 
     monkeypatch.setattr(search, "_line_table", no_table)
     code, out, _ = run(capsys, "omega", "--field", "p=2,e=1,m=8", "--k", "3",
-                       "--r", "1", "--scan-dim", "1", "--shards", "24",
-                       "--shard-index", "23", "--threads", "1", "--json")
+                       "--r", "1", "--scan-dim", "10", "--shards", "1961256",
+                       "--shard-index", "1961255", "--threads", "1", "--json")
     obj = json.loads(out)
     assert code == 0 and obj["visited"] == 1 and obj["witness"] is None
 
@@ -399,6 +399,9 @@ def _scan_shard(shards, index):
 
 
 F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
+# k < 1 is blamed on k, not on an r that no k < 1 admits
+BAD_K_ARGV = ["omega", "--field", "p=2,e=1,m=3", "--k", "-1", "--r", "0",
+              "--scan-dim", "0"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -427,7 +430,7 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
     ["omega", "--field", "p=2,e=1,m=3", "--k", "3", "--r", "1",
      "--dim-cap", "-1"],
     ["omega", "--field", GF4, "--k", "1", "--r", "-1", "--scan-dim", "1",
-     "--threads", "1", "--json"],                          # line kernel
+     "--threads", "1", "--json"],                          # r < 0
     ["verify", "--suite", "lemma21", "--trials", "-5", "--strict",
      "--json"],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "0"],
@@ -461,11 +464,14 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
      "--m", "5"],
     ["count", "--q", "2", "--n", "3", "--r", "1", "--kind", "qdelta",
      "--m", "5"],
+    BAD_K_ARGV,
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    if argv is BAD_K_ARGV:
+        assert "k=-1" in err
 
 
 def test_omega_sharded_scan_mode(capsys):

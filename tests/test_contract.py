@@ -223,8 +223,8 @@ PINNED = [
 ]
 
 
-# evasive-max on the line kernel (h = 1), on the generic kernel (h = 2 and
-# h = 0) and out of budget; pinned before evasive-max ran on the scan
+# evasive-max with the line filter (h = 1), without it (h = 2 with t >= m,
+# and h = 0) and out of budget; pinned before evasive-max ran on the scan
 # kernels, whose budget is checked per work unit instead of per candidate
 EVASIVE_MAX_ARGVS = [
     ["evasive-max", "--field", GF4, "--k", "3", "--h", "1", "--t", "1",

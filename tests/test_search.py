@@ -14,7 +14,7 @@ from rankmin.combinatorics import qbinom
 from rankmin.fields import int_to_digits, make_field
 from rankmin.geometry import cutting_evasive_params, is_cutting, is_evasive
 from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
-                            walk_fills)
+                            mat_vec, unflatten_vector, walk_fills)
 from rankmin.search import (
     BudgetExceeded,
     _units,
@@ -46,7 +46,7 @@ def test_omega_small_cases():
 def test_omega_r0_and_hyperplane_cases():
     assert omega_exhaustive(GF4, 2, 0).value == 2
     assert omega_exhaustive(GF4, 3, 2).value == 5  # r = k-1
-    assert omega_exhaustive(GF9, 2, 1).value == 3  # q = 3 generic path
+    assert omega_exhaustive(GF9, 2, 1).value == 3  # q = 3, h = 0: no filter
 
 
 def test_omega_witness_recheckable_by_definition_route():
@@ -81,14 +81,14 @@ def test_scan_dimension_counts_and_shards():
 
 
 @pytest.mark.parametrize("tower, k, r, d, stop, shards, index, found", [
-    (GF8, 2, 1, 4, True, 1, 0, True),            # generic kernel, q = 2
-    (GF8, 3, 1, 5, True, 9, 4, False),           # GF(2) line kernel, exhausts
-    (GF8, 3, 1, 6, True, 1, 0, True),            # GF(2) line kernel
-    (GF9, 2, 1, 3, True, 1, 0, True),            # generic kernel, q = 3
+    (GF8, 2, 1, 4, True, 1, 0, True),            # h = 0: no filter, q = 2
+    (GF8, 3, 1, 5, True, 9, 4, False),           # GF(2) line filter, exhausts
+    (GF8, 3, 1, 6, True, 1, 0, True),            # GF(2) line filter
+    (GF9, 2, 1, 3, True, 1, 0, True),            # h = 0: no filter, q = 3
     (GF4, 3, 1, 5, False, 2, 0, True),           # every unit, sharded
     (make_field(2, 3, basis=[1, 3, 7]), 3, 1, 6, True, 1, 0, True),
-    (GF9, 3, 1, 4, True, 8, 1, False),           # line kernel, p = 3
-    (GF16_OVER_GF4, 3, 1, 5, True, 1, 0, True),  # line kernel, e = 2
+    (GF9, 3, 1, 4, True, 8, 1, False),           # line filter, p = 3
+    (GF16_OVER_GF4, 3, 1, 5, True, 1, 0, True),  # line filter, e = 2
 ], ids=["generic-gf8", "q2-line-d5-shard", "q2-line-d6", "generic-gf9",
         "no-stop-sharded", "custom-basis", "line-gf9",
         "line-gf16-over-gf4"])
@@ -129,13 +129,13 @@ def _no_unit(*args, **kwargs):
 
 def test_lemma_dimensions_build_no_unit(monkeypatch):
     # t < min(h, 1) or d < k: no candidate can pass, so the dimension is
-    # counted per pivot set without a unit or a kernel
-    for name in ("_units", "_scan_unit_line", "_scan_unit_generic"):
+    # counted per pivot set without a unit
+    for name in ("_units", "_scan_unit"):
         monkeypatch.setattr(search, name, _no_unit)
     # GF(32), k=3, r=1, d=6: (h, t) = (1, 0), 6.1e16 candidates
     res = scan_dimension(make_field(2, 5), 3, 1, 6)
     assert (res.visited, res.witness) == (qbinom(2, 15, 6), None)
-    # d < k with a vacuous t, on the generic kernel's h = 2
+    # d < k with a vacuous t, at h = 2
     res = search._scan_evasive(GF4, 3, 2, 6, 2, stop_at_first=False)
     assert (res.visited, res.witness) == (qbinom(2, 6, 2), None)
     # h = 0, t = -1: the zero E-subspace already meets S in 0 > t
@@ -158,21 +158,21 @@ def test_lemma_dimension_shards_count_their_units():
 
 
 def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
-    """Run the line kernel over a sample of candidates, resuming after each
-    witness, and compare every verdict with the definition route.
-    Returns the number of cutting candidates seen."""
+    """Run the line-filtered scan unit over a sample of candidates, resuming
+    after each witness, and compare every verdict with the definition
+    route.  Returns the number of cutting candidates seen."""
     table = search._line_table(tower, k)
     ambient = k * tower.m
-    _, t = cutting_evasive_params(tower.m, k, r, d)
-    assert t >= 1, "t <= 0 is settled by _scan_evasive before any kernel"
+    h, t = cutting_evasive_params(tower.m, k, r, d)
+    assert t >= 1, "t <= 0 is settled by _scan_evasive before any unit"
     cutting = 0
     pivot_sets = itertools.combinations(range(ambient), d)
     for pivots in itertools.islice(pivot_sets, 0, None, pivot_step):
         cells = free_cells(pivots, ambient)
         x, hi = 0, min(tower.q ** len(cells), per_pivot_set)
         while x < hi:
-            visited, rows = search._scan_unit_line(
-                table, t, pivots, x, hi, stop_at_first=True)
+            visited, rows = search._scan_unit(
+                tower, k, h, t, table, pivots, x, hi, stop_at_first=True)
             assert visited == hi - x or rows is not None
             candidates = walk_fills(pivots, ambient, tower.q, x, x + visited)
             for fill, cand in enumerate(candidates, x):
@@ -181,7 +181,7 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
                 assert is_cutting(tower, k, sub, r,
                                   route="definition").verdict == found
                 if found:
-                    # the kernel's packed odometer reached the walk's fill
+                    # the filter's packed odometer reached the walk's fill
                     assert rows == sub.rows
                     cutting += 1
             x += visited
@@ -196,7 +196,7 @@ def _check_line_kernel(tower, k, r, d, per_pivot_set, pivot_step):
 def test_line_kernel_agrees_with_definition(tower):
     m, q = tower.m, tower.q
     cutting = 0
-    # the kernel runs where t >= 1; t <= 0 never reaches it, and the
+    # a unit runs where t >= 1; t <= 0 never reaches one, and the
     # enumeration-oracle and lemma tests cover those rows
     # k = 2, r = 0: t = d - 1 runs from 1 (d = 2) to t >= m (d = 2m)
     for d in range(2, 2 * m + 1):
@@ -233,13 +233,95 @@ def test_line_table_partitions_into_e_lines(tower, k):
     assert all(len(vecs) == big_q - 1 for vecs in members.values())
 
 
-def test_scan_kernel_choice():
-    assert search.scan_kernel(GF9, 3, 1) == "line"
-    assert search.scan_kernel(GF16_OVER_GF4, 2, 1) == "line"
-    assert search.scan_kernel(GF9, 4, 2) == "generic"
-    assert search.scan_kernel(GF9, 2, 0) == "generic"
+def test_line_test_choice():
+    assert search._line_test_applies(GF9, 3, 1, 1)
+    assert search._line_test_applies(GF16_OVER_GF4, 2, 1, 1)
+    assert search._line_test_applies(GF9, 4, 2, 1)      # every h >= 1
+    assert not search._line_test_applies(GF9, 4, 2, 2)  # t >= m
+    assert not search._line_test_applies(GF9, 2, 0, 0)  # h = 0
     # 2^24 vectors of F^(km) exceed the line-table limit
-    assert search.scan_kernel(make_field(2, 8), 3, 1) == "generic"
+    assert not search._line_test_applies(make_field(2, 8), 3, 1, 1)
+
+
+def _line_evasive_fills(tower, k, t, pivots, lo, hi):
+    """Oracle: the fills whose span puts at most q^t - 1 nonzero elements
+    on each E-line, counted by enumerating the span and normalizing each
+    nonzero element over E to a leading 1."""
+    ambient, cap = k * tower.m, tower.q ** t - 1
+    out = []
+    for fill, rows in enumerate(walk_fills(pivots, ambient, tower.q, lo, hi),
+                                lo):
+        hits = {}
+        for coeffs in itertools.product(range(tower.q), repeat=len(rows)):
+            vec = unflatten_vector(tower, mat_vec(tower.F, rows, coeffs))
+            if any(vec):
+                lead = tower.E.inv(next(x for x in vec if x))
+                key = tuple(tower.E.mul(lead, x) for x in vec)
+                hits[key] = hits.get(key, 0) + 1
+        if max(hits.values()) <= cap:
+            out.append(fill)
+    return out
+
+
+@pytest.mark.parametrize("tower, k", [
+    (GF8, 3), (GF9, 3), (GF16_OVER_GF4, 2),
+    (make_field(2, 3, basis=[1, 3, 7]), 2), (make_field(5, 2), 2),
+    (make_field(3, 3), 2)],
+    ids=["gf8", "gf9", "gf16-over-gf4", "gf8-basis", "gf25", "gf27"])
+def test_line_survivors_match_line_count_oracle(tower, k):
+    # the filter against the E-line test by its definition, for every
+    # 1 <= t < m, on a sample of pivot sets and fill ranges per dimension
+    table = search._line_table(tower, k)
+    ambient = k * tower.m
+    passed = failed = 0
+    for t in range(1, tower.m):
+        for d in range(2, ambient):
+            pivot_sets = list(itertools.combinations(range(ambient), d))
+            for pivots in pivot_sets[::max(1, len(pivot_sets) // 4)]:
+                nfill = tower.q ** len(free_cells(pivots, ambient))
+                lo = nfill // 3
+                hi = min(nfill, lo + 20)
+                got = list(search._line_survivors(table, t, pivots, lo, hi))
+                assert got == _line_evasive_fills(tower, k, t, pivots,
+                                                  lo, hi), (t, pivots)
+                passed += len(got)
+                failed += hi - lo - len(got)
+    assert passed > 0 and failed > 0
+
+
+def _no_table(tower, k):
+    raise AssertionError("line table built")
+
+
+def test_line_table_built_only_where_the_filter_applies(monkeypatch):
+    monkeypatch.setattr(search, "_line_table", _no_table)
+    # h = 0
+    res = search._scan_evasive(GF8, 2, 0, 1, 3, stop_at_first=False)
+    assert res.visited == qbinom(2, 6, 3)
+    # h = 1, t >= m: the line test passes everything
+    res = search._scan_evasive(GF4, 2, 1, 2, 3, stop_at_first=False)
+    assert res.visited == qbinom(2, 4, 3)
+    # 2^24 vectors of F^(km): the last pivot set of d = 3 is one candidate
+    res = search._scan_evasive(make_field(2, 8), 3, 1, 1, 3,
+                               shards=2024, shard_index=2023)
+    assert (res.visited, res.witness) == (1, None)
+
+
+def test_line_filter_runs_for_h2(monkeypatch):
+    calls = []
+    real = search._line_survivors
+
+    def spy(table, t, pivots, lo, hi):
+        calls.append(t)
+        return real(table, t, pivots, lo, hi)
+
+    monkeypatch.setattr(search, "_line_survivors", spy)
+    # GF(4), k = 3, (h, t) = (2, 1): t < m, so the E-line test filters the
+    # candidates before is_evasive; no 3-dimensional one is evasive (the
+    # enumeration oracle test below checks every d at these (h, t))
+    res = search._scan_evasive(GF4, 3, 2, 1, 3, stop_at_first=False)
+    assert set(calls) == {1}
+    assert (res.visited, res.witness) == (qbinom(2, 6, 3), None)
 
 
 def test_omega_gf9_k3_r1_line_kernel():
@@ -302,8 +384,8 @@ def _rows(sub):
     (GF4, 3), (make_field(2, 3, basis=[1, 3, 7]), 2), (GF9, 2),
     (GF16_OVER_GF4, 2)], ids=["gf4", "gf8-basis", "gf9", "gf16-over-gf4"])
 def test_evasive_scan_agrees_with_enumeration_oracle(tower, max_k):
-    # every h and every t from "nothing is evasive" to "vacuous", on the
-    # line kernel (h = 1) and the generic one; each dimension is compared,
+    # every h and every t from "nothing is evasive" to "vacuous", with the
+    # line filter (h >= 1, t < m) and without; each dimension is compared,
     # not only the answer, so survivors below it are checked too
     for k in range(max_k + 1):
         for h in range(k + 1):

@@ -29,3 +29,25 @@ def test_no_function_local_package_imports(path):
              for node in ast.walk(func)
              if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert lines == [], f"{path.name}: local import on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # a module-level import that nothing in its module references is left
+    # over from a deletion; ``__init__`` imports to re-export, so it is out
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used)
+    assert unused == [], f"{path.name}: unused imports {unused}"
