@@ -13,9 +13,10 @@ One unit kernel serves every (h, t): ``is_evasive`` decides each
 candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
 filter on packed rows runs first: every E-line lies in some h-dimensional
 E-subspace, so a candidate fails as soon as some line has seen more than
-q^t - 1 of its span elements.  The filter counts the order of
-``linalg.walk_fills`` in place on packed rows, because stepping the shared
-walk costs more than its line test of a candidate.
+q^t - 1 of its span elements.  The test is hereditary, so the filter
+chooses a pivot set's RREF rows highest first and drops every fill under
+a row prefix that already fails; the dropped fills still count towards
+the unit's visited total.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -216,15 +217,26 @@ def _units(ambient: int, d: int, order: int,
 def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                     lo: int, hi: int) -> Iterator[int]:
     """The fills in lo..hi-1 whose span puts at most q^t - 1 nonzero
-    elements on every E-line.  The nonzero elements are walked in modular
-    p-ary Gray order over the GF(p)-generators beta_j * row_i (beta_j = x^j,
-    a GF(p)-basis of F): step i adds generator v_p(i), so each element costs
-    one vector add and one line lookup.  Needs t >= 1: ``_scan_evasive``
-    settles t <= 0 without a unit.
+    elements on every E-line, in increasing order.
+
+    A depth-first walk over the RREF rows, row d-1 first: its cells are the
+    most significant digits of a fill, so the fills that share rows r..d-1
+    are one block of q^(cells of rows < r).  The span's nonzero elements are
+    walked in modular p-ary Gray order over the GF(p)-generators
+    beta_j * row_i (beta_j = x^j, a GF(p)-basis of F), highest row first:
+    step i adds generator v_p(i), so each element costs one vector add and
+    one line lookup.  With g = e * (d-1-r), steps 1 .. p^g - 1 reach exactly
+    span_F(rows > r), and steps p^g .. p^(g+e) - 1 exactly the new elements
+    a * row_r + s, which is all a node at row r walks.  Its hits stay on
+    the line counters, logged, until the walk leaves the node.  The test is
+    hereditary (a subspace of S meets every line in a subspace of S's
+    meet), so a node that overloads a line rejects its whole block.  Needs
+    t >= 1: ``_scan_evasive`` settles t <= 0 without a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
     ambient = table.k * m
+    d = len(pivots)
     # A row is held as its e scalings beta_j * row side by side, block j
     # from bit j * block on.  Every slot holds exactly one digit, so
     # changing a cell's value is a plain integer add.
@@ -234,41 +246,100 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
         return sum(table.pack((tower.F.mul(p ** j, a),), col) << (j * block)
                    for j in range(e))
 
-    # The cells count in walk_fills order in place on packed rows: packing
-    # each candidate of the shared walk instead made GF(8)/GF(2) k=3 omega
-    # 3x slower (3.0-3.9 s -> 10.8-13.4 s; 2 threads, 2-core VM, Python 3.11).
+    # The cells count in walk_fills order in place on packed rows: a node
+    # reads only its own row's e generators and never packs a candidate.
     cells = free_cells(pivots, ambient)
     cell_row = [rc[0] for rc in cells]
     val = [[scaled(c, a) for a in range(q)] for _, c in cells]
     step = [[v[a + 1] - v[a] for a in range(q - 1)] for v in val]
     digits = list(int_to_digits(lo, q, len(cells)))
-    rows = [scaled(c, 1) for c in pivots]
+    unfilled = [scaled(c, 1) for c in pivots]
+    rows = list(unfilled)
     for j, a in enumerate(digits):
         rows[cell_row[j]] += val[j][a]
-    gens = rows                      # for e > 1, refreshed per candidate
+    # first[r]: the index of row r's first cell, so a node at row r heads
+    # a block of q^first[r] fills
+    first = [sum(1 for i in cell_row if i < r) for r in range(d)]
     split = [j * block for j in range(e)]
     low_block = (1 << block) - 1
+    # beta_b * row_r is gens[r * e + b] (for e = 1, the row itself); walk[r]
+    # lists the generators of row r's steps, the walk's generator j being
+    # beta_(j mod e) * row_(d-1-j//e)
+    gens = rows if e == 1 else [0] * (d * e)
     walk = []
-    for i in range(1, p ** (len(pivots) * e)):
-        j = 0
-        while i % p == 0:
-            i //= p
-            j += 1
-        walk.append(j)
+    for r in range(d):
+        g = e * (d - 1 - r)
+        seg = []
+        for i in range(p ** g, p ** (g + e)):
+            j = 0
+            while i % p == 0:
+                i //= p
+                j += 1
+            seg.append((d - 1 - j // e) * e + j % e)
+        walk.append(seg)
     # slot-wise mod-p add for odd p: s = u + g; u = s - p * (slots >= p)
     top_bit = table.width - 1
     ones = sum(1 << (table.width * s) for s in range(ambient * e))
     carry = ((1 << top_bit) - p) * ones
     cap = q ** t - 1
     line_of = table.line_of
-    # seen[line] is base + (hits - 1) once the current candidate has hit
-    # the line, and below base otherwise
-    seen = [0] * table.num_lines
-    base = 0
+    seen = [0] * table.num_lines       # hits of the applied rows per line
+    logs: List[List[int]] = [[] for _ in range(d)]
+    start = [0] * d                    # the walk's vector before row r's steps
     last = q - 1
-    for fill in range(lo, hi):
-        if fill != lo:
-            j = 0
+    fill, r = lo, d - 1
+    while fill < hi:
+        # rows above r are applied and pass: step row r through its values
+        v0, seg, log = start[r], walk[r], logs[r]
+        push = log.append
+        at, j0 = r * e, first[r]
+        size = q ** j0
+        while True:
+            if e > 1:
+                w = rows[r]
+                for b, sh in enumerate(split):
+                    gens[at + b] = (w >> sh) & low_block
+            v = v0
+            ok = True
+            if p == 2:
+                for g in seg:
+                    v ^= gens[g]
+                    lid = line_of[v]
+                    push(lid)
+                    c = seen[lid] + 1
+                    seen[lid] = c
+                    if c > cap:
+                        ok = False
+                        break
+            else:
+                for g in seg:
+                    s = v + gens[g]
+                    v = s - p * (((s + carry) >> top_bit) & ones)
+                    lid = line_of[v]
+                    push(lid)
+                    c = seen[lid] + 1
+                    seen[lid] = c
+                    if c > cap:
+                        ok = False
+                        break
+            if ok:
+                if r:
+                    break
+                yield fill
+            # leave the node (a failed one's log is applied in part) for
+            # the next block of q^first[r] fills
+            for lid in log:
+                seen[lid] -= 1
+            log.clear()
+            if j0:
+                fill = (fill // size + 1) * size
+                digits[:j0] = [0] * j0
+                rows[:r] = unfilled[:r]
+            else:
+                fill += 1
+            if fill >= hi:
+                return
+            j = j0
             while digits[j] == last:
                 digits[j] = 0
                 rows[cell_row[j]] -= val[j][last]
@@ -276,39 +347,20 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
             a = digits[j]
             digits[j] = a + 1
             rows[cell_row[j]] += step[j][a]
-        ok = True
-        if e > 1:
-            gens = [(w >> sh) & low_block for w in rows for sh in split]
-        base += cap
-        full = base + cap - 1
-        v = 0
-        if p == 2:
-            for g in walk:
-                v ^= gens[g]
-                lid = line_of[v]
-                c = seen[lid]
-                if c < base:
-                    seen[lid] = base
-                elif c == full:
-                    ok = False
-                    break
-                else:
-                    seen[lid] = c + 1
+            if cell_row[j] != r:
+                break
+        if ok and r:
+            start[r - 1] = v
+            r -= 1
         else:
-            for g in walk:
-                s = v + gens[g]
-                v = s - p * (((s + carry) >> top_bit) & ones)
-                lid = line_of[v]
-                c = seen[lid]
-                if c < base:
-                    seen[lid] = base
-                elif c == full:
-                    ok = False
-                    break
-                else:
-                    seen[lid] = c + 1
-        if ok:
-            yield fill
+            # the carry moved row top, and the rows below it walk on its
+            # span: leave the nodes of rows r+1 .. top too
+            top = cell_row[j]
+            for i in range(r + 1, top + 1):
+                for lid in logs[i]:
+                    seen[lid] -= 1
+                logs[i].clear()
+            r = top
 
 
 def _line_test_applies(tower: FieldTower, k: int, h: int, t: int) -> bool:

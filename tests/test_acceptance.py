@@ -220,3 +220,31 @@ def test_criterion_8_bound_sandwich():
     _report("8 bound sandwich", not bad,
             f"{len(solved)} solved instances + 4 evasive maxima"
             + (f"; failures: {bad}" if bad else ""))
+
+
+def test_computed_row_omega_gf16_k3_r1():
+    # computed, not in the paper: the rules only bracket omega(4, 3, 1)
+    # over GF(2) in [6, 7]; the witness is pinned from the search's output
+    gf16 = make_field(2, 4, ext_poly=(1, 0, 0, 1, 1))
+    t0 = time.monotonic()
+    res = omega_exhaustive(gf16, 3, 1, threads=THREADS)
+    elapsed = time.monotonic() - t0
+    assert (res.value, res.bounds_lower, res.bounds_upper) == (6, 6, 7)
+    assert res.paper_verified is False
+    assert res.visited_total == 114496143208
+    exhaustion = res.exhaustion_certificate.exhaustion
+    assert exhaustion["dimension"] == 5
+    assert exhaustion["total_visited"] == qbinom(2, 12, 5)
+    witness = res.witness_certificate.witness
+    assert witness["rref_basis"] == [
+        [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]]
+    sub = Subspace.from_json(gf16, witness)
+    _report("computed row GF(16)/GF(2) k=3 r=1",
+            is_cutting(gf16, 3, sub, 1, route="definition").verdict,
+            f"omega 6 in [6, 7], {res.visited_total} subspaces visited, "
+            f"{elapsed:.1f}s on {THREADS} threads")

@@ -289,6 +289,70 @@ def test_line_survivors_match_line_count_oracle(tower, k):
     assert passed > 0 and failed > 0
 
 
+def _failing_prefix_blocks(tower, k, t, pivots):
+    """The blocks [lo, hi) of fills whose rows r..d-1, r >= 1, already put
+    more than q^t - 1 elements on an E-line.  Those rows are a fill of the
+    pivot set pivots[r:] with the same free cells, so the oracle on that
+    pivot set decides them; its fill is the fill's high digits."""
+    ambient = k * tower.m
+    cells = free_cells(pivots, ambient)
+    for r in range(1, len(pivots)):
+        size = tower.q ** sum(1 for row, _ in cells if row < r)
+        top = tower.q ** len(free_cells(pivots[r:], ambient))
+        passing = set(_line_evasive_fills(tower, k, t, pivots[r:], 0, top))
+        yield from ((f * size, (f + 1) * size) for f in range(top)
+                    if f not in passing)
+
+
+@pytest.mark.parametrize("tower, k", [
+    (GF4, 3), (GF9, 2), (make_field(5, 2), 2), (GF16_OVER_GF4, 2),
+    (make_field(2, 3, basis=[1, 3, 7]), 2)],
+    ids=["gf4", "gf9", "gf25", "gf16-over-gf4", "gf8-basis"])
+def test_line_survivors_match_oracle_on_whole_pivot_sets(tower, k):
+    # every fill of sampled pivot sets, so the walk leaves row 0's block
+    # and rejects whole blocks under a failing row prefix; then windows
+    # that start and end inside such blocks, for the clipping
+    table = search._line_table(tower, k)
+    ambient = k * tower.m
+    passed = failed = clipped = 0
+    for t in range(1, tower.m):
+        for d in range(2, ambient):
+            pivot_sets = list(itertools.combinations(range(ambient), d))
+            for pivots in pivot_sets[::max(1, len(pivot_sets) // 3)]:
+                nfill = tower.q ** len(free_cells(pivots, ambient))
+                want = _line_evasive_fills(tower, k, t, pivots, 0, nfill)
+                got = list(search._line_survivors(table, t, pivots, 0, nfill))
+                assert got == want, (t, pivots)
+                passed += len(got)
+                failed += nfill - len(got)
+                blocks = [b for b in _failing_prefix_blocks(tower, k, t,
+                                                            pivots)
+                          if b[1] - b[0] >= 3]
+                if blocks:
+                    lo = min(b[0] for b in blocks) + 1
+                    hi = max(b[1] for b in blocks) - 1
+                    got = list(search._line_survivors(table, t, pivots,
+                                                      lo, hi))
+                    assert got == [f for f in want if lo <= f < hi], \
+                        (t, pivots, lo, hi)
+                    clipped += 1
+    assert passed > 0 and failed > 0 and clipped > 0
+
+
+@pytest.mark.parametrize("tower, k, r, d, shards, index", [
+    (GF9, 3, 1, 4, 1, 0),       # p = 3, exhausts
+    (GF8, 3, 1, 6, 1, 0),       # finds a witness
+    (GF8, 3, 1, 5, 9, 4),       # one shard of the exhaustion
+], ids=["gf9-d4", "gf8-d6", "gf8-d5-shard"])
+def test_units_that_cut_row_blocks_change_nothing(monkeypatch, tower, k, r,
+                                                  d, shards, index):
+    # 7 is a power of no q, so units start and end inside row blocks
+    want = scan_dimension(tower, k, r, d, shards=shards, shard_index=index)
+    monkeypatch.setattr(search, "_FILL_CHUNK", 7)
+    got = scan_dimension(tower, k, r, d, shards=shards, shard_index=index)
+    assert (got.visited, got.witness) == (want.visited, want.witness)
+
+
 def _no_table(tower, k):
     raise AssertionError("line table built")
 
