@@ -13,10 +13,11 @@ One unit kernel serves every (h, t): ``is_evasive`` decides each
 candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
 filter on packed rows runs first: every E-line lies in some h-dimensional
 E-subspace, so a candidate fails as soon as some line has seen more than
-q^t - 1 of its span elements.  The test is hereditary, so the filter
-chooses a pivot set's RREF rows highest first and drops every fill under
-a row prefix that already fails; the dropped fills still count towards
-the unit's visited total.
+q^t - 1 of its span elements.  The test is hereditary, so the filter is a
+recursion with one node per RREF row, highest row first: a node steps its
+own row's cells on top of the rows above it, and a row value that already
+fails drops every fill under it; the dropped fills still count towards the
+unit's visited total.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -219,19 +220,23 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     """The fills in lo..hi-1 whose span puts at most q^t - 1 nonzero
     elements on every E-line, in increasing order.
 
-    A depth-first walk over the RREF rows, row d-1 first: its cells are the
-    most significant digits of a fill, so the fills that share rows r..d-1
-    are one block of q^(cells of rows < r).  The span's nonzero elements are
-    walked in modular p-ary Gray order over the GF(p)-generators
-    beta_j * row_i (beta_j = x^j, a GF(p)-basis of F), highest row first:
-    step i adds generator v_p(i), so each element costs one vector add and
-    one line lookup.  With g = e * (d-1-r), steps 1 .. p^g - 1 reach exactly
-    span_F(rows > r), and steps p^g .. p^(g+e) - 1 exactly the new elements
-    a * row_r + s, which is all a node at row r walks.  Its hits stay on
-    the line counters, logged, until the walk leaves the node.  The test is
-    hereditary (a subspace of S meets every line in a subspace of S's
-    meet), so a node that overloads a line rejects its whole block.  Needs
-    t >= 1: ``_scan_evasive`` settles t <= 0 without a unit.
+    One node per RREF row, row d-1 first.  Row r's cells are digits
+    first[r] .. first[r+1]-1 of a fill, so a node at row r, under the
+    fill ``base`` of rows r+1..d-1, steps only its own cells: through the
+    fills base + a * q^first[r], each the head of a block of q^first[r]
+    fills, clipped to [lo, hi).  The span's nonzero elements are walked
+    in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
+    (beta_j = x^j, a GF(p)-basis of F), highest row first: step i adds
+    generator v_p(i), so each element costs one vector add and one line
+    lookup.  With g = e * (d-1-r), steps 1 .. p^g - 1 reach exactly
+    span_F(rows > r), and steps p^g .. p^(g+e) - 1 exactly the new
+    elements a * row_r + s, which is all a node walks, from the vector v0
+    its parent's walk ended on.  Its hits stay on the shared line counters
+    while the node of row r-1 runs below it, and are undone before its next
+    fill.  The test is hereditary (a subspace of S meets every line in a
+    subspace of S's meet), so a fill that overloads a line rejects its
+    whole block.  Needs t >= 1: ``_scan_evasive`` settles t <= 0 without
+    a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
@@ -246,26 +251,18 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
         return sum(table.pack((tower.F.mul(p ** j, a),), col) << (j * block)
                    for j in range(e))
 
-    # The cells count in walk_fills order in place on packed rows: a node
-    # reads only its own row's e generators and never packs a candidate.
     cells = free_cells(pivots, ambient)
-    cell_row = [rc[0] for rc in cells]
     val = [[scaled(c, a) for a in range(q)] for _, c in cells]
     step = [[v[a + 1] - v[a] for a in range(q - 1)] for v in val]
-    digits = list(int_to_digits(lo, q, len(cells)))
     unfilled = [scaled(c, 1) for c in pivots]
-    rows = list(unfilled)
-    for j, a in enumerate(digits):
-        rows[cell_row[j]] += val[j][a]
-    # first[r]: the index of row r's first cell, so a node at row r heads
-    # a block of q^first[r] fills
-    first = [sum(1 for i in cell_row if i < r) for r in range(d)]
+    first = [sum(1 for i, _ in cells if i < r) for r in range(d + 1)]
+    size = [q ** j for j in first]
     split = [j * block for j in range(e)]
     low_block = (1 << block) - 1
-    # beta_b * row_r is gens[r * e + b] (for e = 1, the row itself); walk[r]
-    # lists the generators of row r's steps, the walk's generator j being
-    # beta_(j mod e) * row_(d-1-j//e)
-    gens = rows if e == 1 else [0] * (d * e)
+    # beta_b * row_r is gens[r * e + b]; walk[r] lists the generators of
+    # row r's steps, the walk's generator j being beta_(j mod e) *
+    # row_(d-1-j//e)
+    gens = [0] * (d * e)
     walk = []
     for r in range(d):
         g = e * (d - 1 - r)
@@ -282,21 +279,25 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     ones = sum(1 << (table.width * s) for s in range(ambient * e))
     carry = ((1 << top_bit) - p) * ones
     cap = q ** t - 1
-    line_of = table.line_of
-    seen = [0] * table.num_lines       # hits of the applied rows per line
-    logs: List[List[int]] = [[] for _ in range(d)]
-    start = [0] * d                    # the walk's vector before row r's steps
     last = q - 1
-    fill, r = lo, d - 1
-    while fill < hi:
-        # rows above r are applied and pass: step row r through its values
-        v0, seg, log = start[r], walk[r], logs[r]
+    line_of = table.line_of
+    seen = [0] * table.num_lines       # hits of the nodes above, per line
+
+    def node(r: int, v0: int, base: int) -> Iterator[int]:
+        j0, block_fills, seg, at = first[r], size[r], walk[r], r * e
+        a = max(lo - base, 0) // block_fills
+        stop = -(-min(hi - base, size[r + 1]) // block_fills)
+        fill = base + a * block_fills
+        w = unfilled[r]
+        if a:
+            w += sum(val[j][x] for j, x in
+                     enumerate(int_to_digits(a, q, first[r + 1] - j0), j0))
+        log: List[int] = []
         push = log.append
-        at, j0 = r * e, first[r]
-        size = q ** j0
         while True:
-            if e > 1:
-                w = rows[r]
+            if e == 1:
+                gens[r] = w
+            else:
                 for b, sh in enumerate(split):
                     gens[at + b] = (w >> sh) & low_block
             v = v0
@@ -324,43 +325,26 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                         break
             if ok:
                 if r:
-                    break
-                yield fill
-            # leave the node (a failed one's log is applied in part) for
-            # the next block of q^first[r] fills
+                    yield from node(r - 1, v, fill)
+                else:
+                    yield fill
             for lid in log:
                 seen[lid] -= 1
             log.clear()
-            if j0:
-                fill = (fill // size + 1) * size
-                digits[:j0] = [0] * j0
-                rows[:r] = unfilled[:r]
-            else:
-                fill += 1
-            if fill >= hi:
+            a += 1
+            if a == stop:
                 return
-            j = j0
-            while digits[j] == last:
-                digits[j] = 0
-                rows[cell_row[j]] -= val[j][last]
+            fill += block_fills
+            # a's digits that wrapped to 0, then the one that went up
+            j, x = j0, a
+            while x % q == 0:
+                w -= val[j][last]
+                x //= q
                 j += 1
-            a = digits[j]
-            digits[j] = a + 1
-            rows[cell_row[j]] += step[j][a]
-            if cell_row[j] != r:
-                break
-        if ok and r:
-            start[r - 1] = v
-            r -= 1
-        else:
-            # the carry moved row top, and the rows below it walk on its
-            # span: leave the nodes of rows r+1 .. top too
-            top = cell_row[j]
-            for i in range(r + 1, top + 1):
-                for lid in logs[i]:
-                    seen[lid] -= 1
-                logs[i].clear()
-            r = top
+            w += step[j][x % q - 1]
+
+    if lo < hi:
+        yield from node(d - 1, 0, 0)
 
 
 def _line_test_applies(tower: FieldTower, k: int, h: int, t: int) -> bool:
@@ -404,23 +388,26 @@ def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
 def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
                    stop_at_first: bool = True, threads: int = 1,
                    shards: int = 1, shard_index: int = 0,
-                   budget: Optional[int] = None) -> ScanResult:
+                   budget: Optional[int] = None,
+                   deadline: Optional[float] = None) -> ScanResult:
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
     set: the evasive scan at (h, t) = (k-r-1, d-mr-1)."""
     h, t = cutting_evasive_params(tower.m, k, r, d)
     if not 0 <= d <= k * tower.m:
         raise ValueError(f"scan dimension {d} outside 0..{k * tower.m}")
     return _scan_evasive(tower, k, h, t, d, stop_at_first, threads,
-                         shards, shard_index, budget)
+                         shards, shard_index, budget, deadline)
 
 
 def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
                   stop_at_first: bool = True, threads: int = 1,
                   shards: int = 1, shard_index: int = 0,
-                  budget: Optional[int] = None) -> ScanResult:
+                  budget: Optional[int] = None,
+                  deadline: Optional[float] = None) -> ScanResult:
     """Scan every d-dimensional F-subspace of E^[k] for an (h,t)-evasive
     one, in enumeration order.  Deterministic for any thread count.  The
-    budget is checked after each work unit, whose witness still counts.
+    node budget and the ``time.monotonic()`` deadline are checked after
+    each work unit, whose witness still counts.
     A dimension where no candidate passes, d < k (no E-span E^k) or
     t < min(h, 1) (an E-line, or for h = 0 the zero E-subspace, already
     meets S in more than t), builds no unit: it is counted per pivot set."""
@@ -457,7 +444,8 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
                 witness = Subspace.span(tower, "F", ambient, rows)
                 if stop_at_first:
                     return ScanResult(d, visited_total, witness)
-            if budget is not None and visited_total > budget:
+            if (budget is not None and visited_total > budget or
+                    deadline is not None and time.monotonic() > deadline):
                 raise BudgetExceeded(d, d, [])
     return ScanResult(d, visited_total, witness)
 
@@ -482,9 +470,10 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
 
     Ascends from the rule lower bound; the d-1 sweep runs even when the
     rules already pin the value.  Raises BudgetExceeded with the verified
-    bracket when the node or time budget runs out (time is checked between
-    dimension scans) or when ``dim_cap`` stops the sweep below the rule
-    upper bound; a cap below the rule lower bound is a ValueError.
+    bracket when the node or time budget runs out (both are checked before
+    each dimension scan and after each of its work units) or when
+    ``dim_cap`` stops the sweep below the rule upper bound; a cap below the
+    rule lower bound is a ValueError.
     """
     _check_budget("node budget", budget)
     _check_budget("time budget", time_budget_s)
@@ -507,7 +496,8 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
                 deadline is not None and time.monotonic() > deadline):
             with contextlib.suppress(BudgetExceeded):
                 return scan_dimension(tower, k, r, dim, stop_at_first,
-                                      threads, budget=remaining)
+                                      threads, budget=remaining,
+                                      deadline=deadline)
         raise BudgetExceeded(*bracket, held)
 
     d = bounds.lower

@@ -311,6 +311,23 @@ def test_omega_deadline_checked_before_the_d_minus_1_sweep(capsys,
             for c in obj["certificates"]] == [("witness", 3)]
 
 
+def test_omega_deadline_stops_inside_a_sweep():
+    # GF(32)/GF(2), k=3, r=1: d = 6 has t = 0 and is counted at once, and
+    # the d = 7 sweep runs for minutes; a 2 s deadline ends it between two
+    # of its units, with the bracket [7, 8] and nothing certified
+    src = str(pathlib.Path(rankmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-m", "rankmin.cli", "omega", "--field",
+         "p=2,e=1,m=5", "--k", "3", "--r", "1", "--threads", "1",
+         "--time-budget", "2", "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["bracket"] == [7, 8] and obj["certificates"] == []
+
+
 def test_census_budget_exit(capsys):
     # 21 codes to visit, one allowed
     code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",

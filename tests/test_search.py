@@ -1,6 +1,7 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -266,8 +267,9 @@ def _line_evasive_fills(tower, k, t, pivots, lo, hi):
 @pytest.mark.parametrize("tower, k", [
     (GF8, 3), (GF9, 3), (GF16_OVER_GF4, 2),
     (make_field(2, 3, basis=[1, 3, 7]), 2), (make_field(5, 2), 2),
-    (make_field(3, 3), 2)],
-    ids=["gf8", "gf9", "gf16-over-gf4", "gf8-basis", "gf25", "gf27"])
+    (make_field(3, 3), 2), (make_field(3, 2, e=2), 2)],
+    ids=["gf8", "gf9", "gf16-over-gf4", "gf8-basis", "gf25", "gf27",
+         "gf81-over-gf9"])
 def test_line_survivors_match_line_count_oracle(tower, k):
     # the filter against the E-line test by its definition, for every
     # 1 <= t < m, on a sample of pivot sets and fill ranges per dimension
@@ -310,10 +312,12 @@ def _failing_prefix_blocks(tower, k, t, pivots):
     ids=["gf4", "gf9", "gf25", "gf16-over-gf4", "gf8-basis"])
 def test_line_survivors_match_oracle_on_whole_pivot_sets(tower, k):
     # every fill of sampled pivot sets, so the walk leaves row 0's block
-    # and rejects whole blocks under a failing row prefix; then windows
-    # that start and end inside such blocks, for the clipping
+    # and rejects whole blocks under a failing row prefix; then seeded
+    # random windows, which clip the nodes of every row, and windows that
+    # start and end inside such blocks
     table = search._line_table(tower, k)
     ambient = k * tower.m
+    rng = random.Random(16)
     passed = failed = clipped = 0
     for t in range(1, tower.m):
         for d in range(2, ambient):
@@ -325,6 +329,12 @@ def test_line_survivors_match_oracle_on_whole_pivot_sets(tower, k):
                 assert got == want, (t, pivots)
                 passed += len(got)
                 failed += nfill - len(got)
+                for _ in range(3):
+                    lo, hi = sorted(rng.sample(range(nfill + 1), 2))
+                    got = list(search._line_survivors(table, t, pivots,
+                                                      lo, hi))
+                    assert got == [f for f in want if lo <= f < hi], \
+                        (t, pivots, lo, hi)
                 blocks = [b for b in _failing_prefix_blocks(tower, k, t,
                                                             pivots)
                           if b[1] - b[0] >= 3]

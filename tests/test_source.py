@@ -51,3 +51,29 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    # a name that a function assigns and nothing in it, nested functions
+    # included, reads again is left over from a deletion; ``_`` and names
+    # declared global or nonlocal are out
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, declared = {}, set(), {"_"}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        unused.update((line, name) for name, line in stored.items()
+                      if name not in read and name not in declared)
+    unused = sorted(unused)
+    assert unused == [], f"{path.name}: unused locals {unused}"
