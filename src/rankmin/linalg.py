@@ -1,22 +1,28 @@
 """Matrices and canonical subspaces over either level of a field tower.
 
 A subspace is always stored as the reduced row echelon form of a basis
-matrix, so equality and hashing are structural.  Enumeration of all
+matrix, so equality and hashing are structural; subspaces of different
+towers are never equal, even with the same rows.  Enumeration of all
 d-dimensional subspaces of K^N walks pivot-column sets in lexicographic
 order and fills the free cells in row-major base-|K| counting order
 (enumeration order tag: ``subspace-enum/1``); the search module shards by
 this order.  The free cells are the odometer: a step changes one cell,
 and one more for each carry.
 
-Rows are tuples of int-encoded field elements.  When the base field is
-GF(2) the rows also pack into ints, which the rank helpers below use.
+Rows are tuples of int-encoded field elements.  Every row operation goes
+through one row kernel per field level (``_row_kernel``): XOR plus a cached
+multiplication-table row per scalar when p = 2, one residue mod p over
+GF(p), and a multiplication row plus a subtraction table for the other
+levels of order at most 256; larger levels call the engine's mul and sub.
+When the base field is GF(2) the rows also pack into ints, which the rank
+helpers below use.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .fields import Field, FieldTower, int_to_digits
 
@@ -35,8 +41,60 @@ class CertificateError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Dense row-reduction over an arbitrary field level.
+# Row kernels and dense row-reduction over an arbitrary field level.
 # ---------------------------------------------------------------------------
+
+# Levels of at most this order get table-driven row kernels.
+_KERNEL_TABLE_LIMIT = 256
+
+RowOp = Callable[..., List[int]]
+
+
+def _row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
+    """(scale, axpy) for rows over ``level``: scale(f, row) = f*row and
+    axpy(g, a, b) = a - g*b, both as lists.  Built on first use and kept on
+    the engine, so every caller of one level shares its tables."""
+    kernel = getattr(level, "_row_kernel", None)
+    if kernel is None:
+        kernel = level._row_kernel = _build_row_kernel(level)
+    return kernel
+
+
+def _build_row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
+    p, order, mul, sub = level.p, level.order, level.mul, level.sub
+    if order == 2:
+        return (lambda f, row: [f & v for v in row],
+                lambda g, a, b: ([v ^ w for v, w in zip(a, b)] if g
+                                 else list(a)))
+    if order == p:
+        return (lambda f, row: [f * v % p for v in row],
+                lambda g, a, b: [(v - g * w) % p for v, w in zip(a, b)])
+    if order > _KERNEL_TABLE_LIMIT:
+        return (lambda f, row: [mul(f, v) for v in row],
+                lambda g, a, b: [sub(v, mul(g, w)) for v, w in zip(a, b)])
+    mul_rows: Dict[int, List[int]] = {}  # g -> [g*x for every x]
+
+    def mul_row(g: int) -> List[int]:
+        t = mul_rows.get(g)
+        if t is None:
+            t = mul_rows[g] = [mul(g, x) for x in range(order)]
+        return t
+
+    def scale(f: int, row: Sequence[int]) -> List[int]:
+        t = mul_row(f)
+        return [t[v] for v in row]
+
+    if p == 2:
+        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
+            t = mul_row(g)
+            return [v ^ t[w] for v, w in zip(a, b)]
+    else:
+        sub_rows = [[sub(x, y) for y in range(order)] for x in range(order)]
+
+        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
+            t = mul_row(g)
+            return [sub_rows[v][t[w]] for v, w in zip(a, b)]
+    return scale, axpy
 
 
 def rref(rows: Sequence[Sequence[int]], level: Field,
@@ -46,7 +104,8 @@ def rref(rows: Sequence[Sequence[int]], level: Field,
     ncols = len(work[0]) if work else 0
     pivots: List[int] = []
     r = 0
-    mul, sub, inv = level.mul, level.sub, level.inv
+    scale, axpy = _row_kernel(level)
+    inv = level.inv
     for c in range(ncols):
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
@@ -54,12 +113,11 @@ def rref(rows: Sequence[Sequence[int]], level: Field,
         work[r], work[piv] = work[piv], work[r]
         f = inv(work[r][c])
         if f != 1:
-            work[r] = [mul(f, v) for v in work[r]]
+            work[r] = scale(f, work[r])
         row_r = work[r]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
-                g = work[i][c]
-                work[i] = [sub(v, mul(g, w)) for v, w in zip(work[i], row_r)]
+                work[i] = axpy(work[i][c], work[i], row_r)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -68,18 +126,26 @@ def rref(rows: Sequence[Sequence[int]], level: Field,
     return out, r, tuple(pivots)
 
 
+def _reduce(axpy: RowOp, rows: Sequence[Sequence[int]],
+            pivots: Sequence[int], vec: Sequence[int]) -> Sequence[int]:
+    """vec minus the combination of the RREF ``rows`` that clears its
+    entries at ``pivots``."""
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c != 0:
+            vec = axpy(c, vec, row)
+    return vec
+
+
 def mat_vec(level: Field, rows: Sequence[Sequence[int]],
             vec: Sequence[int]) -> Tuple[int, ...]:
     """vec * rows (row vector times matrix)."""
-    ncols = len(rows[0]) if rows else 0
-    add, mul = level.add, level.mul
-    out = [0] * ncols
+    axpy = _row_kernel(level)[1]
+    neg = level.neg
+    out = [0] * (len(rows[0]) if rows else 0)
     for c, row in zip(vec, rows):
-        if c == 0:
-            continue
-        for j, v in enumerate(row):
-            if v:
-                out[j] = add(out[j], mul(c, v))
+        if c != 0:
+            out = axpy(neg(c), out, row)
     return tuple(out)
 
 
@@ -173,7 +239,8 @@ class Subspace:
         return (isinstance(other, Subspace)
                 and self.level_name == other.level_name
                 and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self.rows == other.rows
+                and (self.tower is other.tower or self.tower == other.tower))
 
     def __hash__(self) -> int:
         return hash((self.level_name, self.ambient, self.rows))
@@ -190,14 +257,8 @@ class Subspace:
     # -- membership ----------------------------------------------------------
     def reduce_vector(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Reduce vec modulo this subspace (eliminate pivot coordinates)."""
-        level = self.level
-        sub_, mul = level.sub, level.mul
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [sub_(x, mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        return tuple(_reduce(_row_kernel(self.level)[1], self.rows,
+                             self.pivots, vec))
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce_vector(vec))
@@ -225,16 +286,21 @@ class Subspace:
         return Subspace.span(self.tower, self.level_name, n, inter)
 
     def intersection_dim(self, other: "Subspace") -> int:
-        """dim(A) + dim(B) - dim(A+B), via one rank computation."""
+        """dim(A cap B).  Over GF(2): dim A + dim B - rank(A u B) on packed
+        rows.  Otherwise the smaller operand B is reduced modulo the other
+        one's pivots, and dim(A cap B) = dim B - rank(remainders)."""
         self._check_compat(other)
         if self.dim == 0 or other.dim == 0:
             return 0
         if self.level.order == 2:
-            stacked = self.packed() + other.packed()
-            total = rank_gf2(stacked)
-        else:
-            total = rref(list(self.rows) + list(other.rows), self.level)[1]
-        return self.dim + other.dim - total
+            return (self.dim + other.dim
+                    - rank_gf2(self.packed() + other.packed()))
+        a, b = (self, other) if self.dim >= other.dim else (other, self)
+        axpy = _row_kernel(self.level)[1]
+        rest = [v for v in (_reduce(axpy, a.rows, a.pivots, u)
+                            for u in b.rows) if any(v)]
+        return b.dim - (rref(rest, self.level)[1] if len(rest) > 1
+                        else len(rest))
 
     # -- duality ------------------------------------------------------------
     def dual(self) -> "Subspace":
@@ -400,11 +466,11 @@ def flatten_subspace(esub: Subspace) -> Subspace:
     tower = esub.tower
     if esub.level_name != "E":
         raise AmbientMismatch("flatten_subspace expects an E-level subspace")
-    mul, m = tower.E.mul, tower.m
+    scale, m = _row_kernel(tower.E)[0], tower.m
     rows, pivots = [], []
     for row, p in zip(esub.rows, esub.pivots):
         for j, tau in enumerate(tower.basis):
-            rows.append(flatten_vector(tower, [mul(tau, x) for x in row]))
+            rows.append(flatten_vector(tower, scale(tau, row)))
             pivots.append(p * m + j)
     return Subspace(tower, "F", esub.ambient * m, tuple(rows), tuple(pivots))
 

@@ -21,6 +21,7 @@ from rankmin.linalg import (
     subspaces_of,
     unflatten_vector,
     walk_fills,
+    _row_kernel,
 )
 from rankmin.search import _FILL_CHUNK
 
@@ -309,6 +310,163 @@ def test_ambient_mismatch():
     b = Subspace.span(GF2, "F", 4, [(1, 0, 0, 0)])
     with pytest.raises(AmbientMismatch):
         a.sum(b)
+
+
+# ---------------------------------------------------------------------------
+# The row kernel against a definition-level reference: the per-element
+# elimination with one level.mul and one level.sub call per entry, and
+# dim(A cap B) = dim A + dim B - rank(A u B).
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(rows, level):
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        f = level.inv(work[r][c])
+        work[r] = [level.mul(f, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                g = work[i][c]
+                work[i] = [level.sub(v, level.mul(g, w))
+                           for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), r, tuple(pivots)
+
+
+def ref_reduce(level, sub, vec):
+    v = list(vec)
+    for row, p in zip(sub.rows, sub.pivots):
+        c = v[p]
+        v = [level.sub(x, level.mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def ref_intersection_dim(a, b):
+    return a.dim + b.dim - ref_rref(list(a.rows) + list(b.rows), a.level)[1]
+
+
+def ref_intersect_rows(a, b):
+    n = a.ambient
+    stacked = [tuple(r) + tuple(r) for r in a.rows]
+    stacked += [tuple(r) + (0,) * n for r in b.rows]
+    rows = ref_rref(stacked, a.level)[0]
+    return ref_rref([r[n:] for r in rows if not any(r[:n])], a.level)[0]
+
+
+def random_rows(rng, level, count, ncols):
+    """Random rows over ``level``, with some rows combinations of earlier
+    ones, so that ranks fall short of ``count``."""
+    rows = []
+    for _ in range(count):
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randrange(level.order)
+            rows.append(tuple(level.add(x, level.mul(c, y))
+                              for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(rng.randrange(level.order)
+                              for _ in range(ncols)))
+    return rows
+
+
+# (tower, level name): every level kind the kernel distinguishes -- GF(2),
+# GF(p), p = 2 and odd p tables, a table-driven F-level polynomial field,
+# and levels above the table limit (GF(3^6) and GF(2^9))
+KERNEL_LEVELS = {
+    "GF2": (GF2, "F"),
+    "GF3": (make_field(3, 1), "F"),
+    "GF4": (GF4, "E"),
+    "GF5": (make_field(5, 1), "F"),
+    "GF8": (make_field(2, 3), "E"),
+    "GF9": (make_field(3, 2), "E"),
+    "GF9-base": (make_field(3, 2, e=2), "F"),
+    "GF16": (make_field(2, 4), "E"),
+    "GF25": (make_field(5, 2), "E"),
+    "GF27": (make_field(3, 3), "E"),
+    "GF729": (make_field(3, 6), "E"),
+    "GF512": (make_field(2, 9), "E"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_LEVELS))
+def test_row_kernel_matches_reference(name):
+    tower, level_name = KERNEL_LEVELS[name]
+    level = tower.F if level_name == "F" else tower.E
+    rng = random.Random(f"kernel:{name}")
+    scale, axpy = _row_kernel(level)
+    for _ in range(40):
+        a = tuple(rng.randrange(level.order) for _ in range(5))
+        b = tuple(rng.randrange(level.order) for _ in range(5))
+        g = rng.choice([0, 1, rng.randrange(level.order)])
+        assert scale(g, a) == [level.mul(g, x) for x in a]
+        assert axpy(g, a, b) == [level.sub(x, level.mul(g, y))
+                                 for x, y in zip(a, b)]
+    for _ in range(40):
+        ncols = rng.randrange(1, 7)
+        rows = random_rows(rng, level, rng.randrange(1, 7), ncols)
+        assert rref(rows, level) == ref_rref(rows, level)
+        coeffs = tuple(rng.randrange(level.order) for _ in rows)
+        want = [0] * ncols
+        for c, row in zip(coeffs, rows):
+            want = [level.add(x, level.mul(c, y)) for x, y in zip(want, row)]
+        assert mat_vec(level, rows, coeffs) == tuple(want)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_LEVELS))
+def test_subspace_ops_match_reference(name):
+    tower, level_name = KERNEL_LEVELS[name]
+    level = tower.F if level_name == "F" else tower.E
+    rng = random.Random(f"subspace:{name}")
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        a, b = (Subspace.span(tower, level_name, n,
+                              random_rows(rng, level, rng.randrange(n + 2),
+                                          n))
+                for _ in range(2))
+        assert a.intersection_dim(b) == ref_intersection_dim(a, b)
+        assert b.intersection_dim(a) == ref_intersection_dim(a, b)
+        assert a.intersect(b).rows == ref_intersect_rows(a, b)
+        vec = random_rows(rng, level, 1, n)[0]
+        assert a.reduce_vector(vec) == ref_reduce(level, a, vec)
+
+
+def test_flattened_meets_match_reference_over_custom_basis():
+    # the flattened view reads the basis; the meets of flattened E-lines
+    # and E-planes with random F-subspaces of F^(km) agree with the
+    # reference under a non-polynomial basis (1 + x, x) of GF(9)/GF(3)
+    tower = make_field(3, 2, basis=(4, 3))
+    rng = random.Random(31)
+    for _ in range(40):
+        h = rng.randrange(1, 3)
+        esub = Subspace.span(tower, "E", 3,
+                             random_rows(rng, tower.E, h, 3))
+        flat = flatten_subspace(esub)
+        s = Subspace.span(tower, "F", 6,
+                          random_rows(rng, tower.F, rng.randrange(7), 6))
+        assert flat.intersection_dim(s) == ref_intersection_dim(flat, s)
+        assert flat.intersect(s).rows == ref_intersect_rows(flat, s)
+
+
+def test_subspaces_of_different_towers_are_unequal():
+    # the same rows over GF(8)/GF(2) and GF(9)/GF(3), or over two bases of
+    # one field, are subspaces of different spaces
+    gf8, gf9 = make_field(2, 3), make_field(3, 2)
+    s8 = Subspace.span(gf8, "E", 2, [(1, 0)])
+    s9 = Subspace.span(gf9, "E", 2, [(1, 0)])
+    assert s8.rows == s9.rows and s8 != s9
+    assert len({s8, s9}) == 2
+    alt = make_field(3, 2, basis=(4, 3))
+    assert Subspace.full(alt, "F", 2) != Subspace.full(gf9, "F", 2)
+    # a tower rebuilt from the same definition is the same space
+    assert s9 == Subspace.span(make_field(3, 2), "E", 2, [(1, 0)])
 
 
 def test_enumeration_complete_n8_all_dims():

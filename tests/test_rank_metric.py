@@ -59,7 +59,9 @@ def test_rank_support_scalar_invariance_and_basis_invariance():
         c = rng.randrange(1, 4)
         scaled = tuple(GF4.E.mul(c, x) for x in alpha)
         assert rank_support(GF4, scaled) == rank_support(GF4, alpha)
-        assert rank_support(alt, alpha) == rank_support(GF4, alpha)
+        # subspaces of different towers never compare equal; the supports
+        # are compared as RREF bases of F^3
+        assert rank_support(alt, alpha).rows == rank_support(GF4, alpha).rows
 
 
 def test_chi_examples():

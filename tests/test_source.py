@@ -77,3 +77,18 @@ def test_no_unused_locals(path):
                       if name not in read and name not in declared)
     unused = sorted(unused)
     assert unused == [], f"{path.name}: unused locals {unused}"
+
+
+def test_linalg_row_operations_use_the_row_kernel():
+    # rref, reduce_vector, mat_vec and intersection_dim (and the reduction
+    # step they share) reach field arithmetic only through linalg's row
+    # kernel, so a second per-element elimination loop cannot come back
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    for name in ("rref", "_reduce", "reduce_vector", "mat_vec",
+                 "intersection_dim"):
+        direct = sorted(node.lineno for node in ast.walk(funcs[name])
+                        if isinstance(node, ast.Attribute)
+                        and node.attr in ("add", "sub", "mul"))
+        assert direct == [], f"{name}: field arithmetic on lines {direct}"
