@@ -23,11 +23,10 @@ from .combinatorics import (
     qbinom,
     qdelta,
 )
-from .fields import BadBasis, FieldTower, NonIrreducible, parse_field_spec
-from .geometry import PreconditionViolated, is_cutting, is_evasive, linearity_index
+from .fields import FieldTower, parse_field_spec
+from .geometry import is_cutting, is_evasive, linearity_index
 from .linalg import CertificateError, Subspace
 from .minimality import (
-    MethodInapplicable,
     is_r_minimal,
     is_rank_minimal,
     is_sigma_maximal,
@@ -40,7 +39,7 @@ from .search import (
     omega_exhaustive,
     scan_dimension,
 )
-from .suites import UnknownSuite, run_suite, suite_names
+from .suites import run_suite, suite_names
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -502,9 +501,10 @@ def run_command(argv: Sequence[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, UnknownSuite, NonIrreducible, BadBasis,
-            MethodInapplicable, PreconditionViolated, ValueError,
-            json.JSONDecodeError, FileNotFoundError) as exc:
+    except BrokenPipeError:
+        raise  # main maps a closed stdout to EXIT_PIPE
+    except (ValueError, OSError) as exc:
+        # every input error class of the package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificateError as exc:

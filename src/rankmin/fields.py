@@ -17,12 +17,20 @@ over GF(p), so addition is XOR when p = 2, one residue mod p when the
 field is GF(p), and digit-wise mod p otherwise.  Multiplication uses
 log/antilog tables whenever the field order is at most 2^16 and falls
 back to schoolbook polynomial arithmetic above that.
+
+Each engine owns its row kernel (``_row_kernel``), built on first use:
+XOR plus a cached multiplication-table row per scalar when p = 2, one
+residue mod p over GF(p), and a multiplication row plus a subtraction
+table for the other levels of order at most 256; larger levels call the
+engine's mul and sub.  ``rref``, the package's one Gauss-Jordan
+elimination, and ``mat_vec`` run on it, and so do the tower's own
+polynomial remainders, basis inversion and custom-basis coordinates.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 _TABLE_LIMIT = 1 << 16
 
@@ -210,21 +218,116 @@ def _prime_factors(n: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
+# Row kernels and the one elimination over an arbitrary field level.
+# ---------------------------------------------------------------------------
+
+# Levels of at most this order get table-driven row kernels.
+_KERNEL_TABLE_LIMIT = 256
+
+RowOp = Callable[..., List[int]]
+
+
+def _row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
+    """(scale, axpy) for rows over ``level``: scale(f, row) = f*row and
+    axpy(g, a, b) = a - g*b, both as lists.  Built on first use and kept on
+    the engine, so every caller of one level shares its tables."""
+    kernel = getattr(level, "_row_kernel", None)
+    if kernel is None:
+        kernel = level._row_kernel = _build_row_kernel(level)
+    return kernel
+
+
+def _build_row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
+    p, order, mul, sub = level.p, level.order, level.mul, level.sub
+    if order == 2:
+        return (lambda f, row: [f & v for v in row],
+                lambda g, a, b: ([v ^ w for v, w in zip(a, b)] if g
+                                 else list(a)))
+    if order == p:
+        return (lambda f, row: [f * v % p for v in row],
+                lambda g, a, b: [(v - g * w) % p for v, w in zip(a, b)])
+    if order > _KERNEL_TABLE_LIMIT:
+        return (lambda f, row: [mul(f, v) for v in row],
+                lambda g, a, b: [sub(v, mul(g, w)) for v, w in zip(a, b)])
+    mul_rows: Dict[int, List[int]] = {}  # g -> [g*x for every x]
+
+    def mul_row(g: int) -> List[int]:
+        t = mul_rows.get(g)
+        if t is None:
+            t = mul_rows[g] = [mul(g, x) for x in range(order)]
+        return t
+
+    def scale(f: int, row: Sequence[int]) -> List[int]:
+        t = mul_row(f)
+        return [t[v] for v in row]
+
+    if p == 2:
+        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
+            t = mul_row(g)
+            return [v ^ t[w] for v, w in zip(a, b)]
+    else:
+        sub_rows = [[sub(x, y) for y in range(order)] for x in range(order)]
+
+        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
+            t = mul_row(g)
+            return [sub_rows[v][t[w]] for v, w in zip(a, b)]
+    return scale, axpy
+
+
+def rref(rows: Sequence[Sequence[int]], level: Field,
+         ) -> Tuple[Tuple[Tuple[int, ...], ...], int, Tuple[int, ...]]:
+    """Reduced row echelon form; returns (rows, rank, pivot columns)."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: List[int] = []
+    r = 0
+    scale, axpy = _row_kernel(level)
+    inv = level.inv
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        f = inv(work[r][c])
+        if f != 1:
+            work[r] = scale(f, work[r])
+        row_r = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                work[i] = axpy(work[i][c], work[i], row_r)
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    out = tuple(tuple(work[i]) for i in range(r))
+    return out, r, tuple(pivots)
+
+
+def mat_vec(level: Field, rows: Sequence[Sequence[int]],
+            vec: Sequence[int]) -> Tuple[int, ...]:
+    """vec * rows (row vector times matrix)."""
+    axpy = _row_kernel(level)[1]
+    neg = level.neg
+    out = [0] * (len(rows[0]) if rows else 0)
+    for c, row in zip(vec, rows):
+        if c != 0:
+            out = axpy(neg(c), out, row)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Polynomial utilities over an arbitrary engine (coefficients = packed ints).
 # ---------------------------------------------------------------------------
 
 
 def _poly_mod(num: Sequence[int], den: Sequence[int], fld) -> Tuple[int, ...]:
+    """num modulo the monic polynomial den (coefficients ascending)."""
+    axpy = _row_kernel(fld)[1]
     num = list(num)
     dd = len(den) - 1
-    lead_inv = fld.inv(den[-1])
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        f = fld.mul(c, lead_inv)
-        for j in range(dd + 1):
-            num[i - dd + j] = fld.sub(num[i - dd + j], fld.mul(f, den[j]))
+        if num[i] != 0:
+            num[i - dd:i + 1] = axpy(num[i], num[i - dd:i + 1], den)
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return tuple(num)
@@ -299,13 +402,15 @@ class FieldTower:
         if not all(0 <= b < self.order for b in basis):
             raise BadBasis(f"basis elements must lie in [0, {self.order})")
         self.basis = basis
-        # columns of T = polynomial digits of the basis elements
-        cols = [int_to_digits(b, self.q, m) for b in basis]
-        tinv = _invert_matrix([[cols[j][i] for j in range(m)] for i in range(m)],
-                              self.F)
-        if tinv is None:
+        # row j of T = polynomial digits of basis element j, so the digits
+        # of x are its coordinates times T; the RREF of [T | I] is
+        # [I | T^-1] exactly when T is invertible
+        rows, _, pivots = rref([int_to_digits(b, self.q, m)
+                                + tuple(int(i == j) for i in range(m))
+                                for j, b in enumerate(basis)], self.F)
+        if pivots != tuple(range(m)):
             raise BadBasis("basis is not F-linearly independent")
-        self._coord_matrix = tinv
+        self._coord_matrix = [row[m:] for row in rows]
         self._default_basis = basis == tuple(self.q**i for i in range(m))
         self._coords: Dict[int, Tuple[int, ...]] = {}
 
@@ -324,8 +429,7 @@ class FieldTower:
             raise ValueError(f"{x} is not an element of GF({self.order})")
         digits = int_to_digits(x, self.q, self.m)
         if not self._default_basis:
-            digits = tuple(_dot_row(self._coord_matrix[i], digits, self.F)
-                           for i in range(self.m))
+            digits = mat_vec(self.F, self._coord_matrix, digits)
         self._coords[x] = digits
         return digits
 
@@ -383,35 +487,6 @@ class FieldTower:
     def __hash__(self) -> int:
         return hash((self.p, self.e, self.m, self.base_poly, self.ext_poly,
                      self.basis))
-
-
-def _dot_row(row: Sequence[int], vec: Sequence[int], fld) -> int:
-    acc = 0
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = fld.add(acc, fld.mul(a, b))
-    return acc
-
-
-def _invert_matrix(rows: List[List[int]], fld) -> Optional[List[List[int]]]:
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        f = fld.inv(aug[r][c])
-        aug[r] = [fld.mul(f, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                g = aug[i][c]
-                aug[i] = [fld.sub(v, fld.mul(g, w))
-                          for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
 
 
 def make_field(p: int, m: int, *, e: int = 1,

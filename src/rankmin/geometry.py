@@ -169,12 +169,15 @@ def _first_avoiding(tower: FieldTower, k: int,
                     meets: Callable[[Tuple[int, ...]], bool],
                     ) -> Tuple[int, ...]:
     """The smallest encoded nonzero z of E^[k] whose E-line ``meets`` is
-    false for: the one greedy scan, deterministic."""
+    false for: the one greedy scan, deterministic.  The first vector of
+    each E-line in encoded order is the one whose last nonzero entry is 1,
+    so only those are tested."""
     order = tower.order
-    for enc in range(1, order**k):
-        z = int_to_digits(enc, order, k)
-        if not meets(z):
-            return z
+    for j in range(k):
+        for enc in range(order**j, 2 * order**j):
+            z = int_to_digits(enc, order, k)
+            if not meets(z):
+                return z
     raise PreconditionViolated("no avoiding vector exists")
 
 

@@ -9,22 +9,22 @@ order and fills the free cells in row-major base-|K| counting order
 this order.  The free cells are the odometer: a step changes one cell,
 and one more for each carry.
 
-Rows are tuples of int-encoded field elements.  Every row operation goes
-through one row kernel per field level (``_row_kernel``): XOR plus a cached
-multiplication-table row per scalar when p = 2, one residue mod p over
-GF(p), and a multiplication row plus a subtraction table for the other
-levels of order at most 256; larger levels call the engine's mul and sub.
-When the base field is GF(2) the rows also pack into ints, which the rank
-helpers below use.
+Rows are tuples of int-encoded field elements.  Subspaces are built on
+the row kernel and the one elimination that ``fields`` keeps beside the
+field engines (``_row_kernel``, ``rref``, ``mat_vec``, re-exported here):
+every row operation below goes through the kernel of its level.  When the
+base field is GF(2) the rows also pack into ints, which the rank helpers
+below use.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-from .fields import Field, FieldTower, int_to_digits
+from .fields import (Field, FieldTower, RowOp, _row_kernel, int_to_digits,
+                     mat_vec, rref)
 
 ENUM_ORDER_TAG = "subspace-enum/1"
 
@@ -38,115 +38,6 @@ class CertificateError(AssertionError):
 
     Raised explicitly, so the guard stays active under ``python -O``.
     """
-
-
-# ---------------------------------------------------------------------------
-# Row kernels and dense row-reduction over an arbitrary field level.
-# ---------------------------------------------------------------------------
-
-# Levels of at most this order get table-driven row kernels.
-_KERNEL_TABLE_LIMIT = 256
-
-RowOp = Callable[..., List[int]]
-
-
-def _row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
-    """(scale, axpy) for rows over ``level``: scale(f, row) = f*row and
-    axpy(g, a, b) = a - g*b, both as lists.  Built on first use and kept on
-    the engine, so every caller of one level shares its tables."""
-    kernel = getattr(level, "_row_kernel", None)
-    if kernel is None:
-        kernel = level._row_kernel = _build_row_kernel(level)
-    return kernel
-
-
-def _build_row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
-    p, order, mul, sub = level.p, level.order, level.mul, level.sub
-    if order == 2:
-        return (lambda f, row: [f & v for v in row],
-                lambda g, a, b: ([v ^ w for v, w in zip(a, b)] if g
-                                 else list(a)))
-    if order == p:
-        return (lambda f, row: [f * v % p for v in row],
-                lambda g, a, b: [(v - g * w) % p for v, w in zip(a, b)])
-    if order > _KERNEL_TABLE_LIMIT:
-        return (lambda f, row: [mul(f, v) for v in row],
-                lambda g, a, b: [sub(v, mul(g, w)) for v, w in zip(a, b)])
-    mul_rows: Dict[int, List[int]] = {}  # g -> [g*x for every x]
-
-    def mul_row(g: int) -> List[int]:
-        t = mul_rows.get(g)
-        if t is None:
-            t = mul_rows[g] = [mul(g, x) for x in range(order)]
-        return t
-
-    def scale(f: int, row: Sequence[int]) -> List[int]:
-        t = mul_row(f)
-        return [t[v] for v in row]
-
-    if p == 2:
-        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
-            t = mul_row(g)
-            return [v ^ t[w] for v, w in zip(a, b)]
-    else:
-        sub_rows = [[sub(x, y) for y in range(order)] for x in range(order)]
-
-        def axpy(g: int, a: Sequence[int], b: Sequence[int]) -> List[int]:
-            t = mul_row(g)
-            return [sub_rows[v][t[w]] for v, w in zip(a, b)]
-    return scale, axpy
-
-
-def rref(rows: Sequence[Sequence[int]], level: Field,
-         ) -> Tuple[Tuple[Tuple[int, ...], ...], int, Tuple[int, ...]]:
-    """Reduced row echelon form; returns (rows, rank, pivot columns)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: List[int] = []
-    r = 0
-    scale, axpy = _row_kernel(level)
-    inv = level.inv
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        f = inv(work[r][c])
-        if f != 1:
-            work[r] = scale(f, work[r])
-        row_r = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                work[i] = axpy(work[i][c], work[i], row_r)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = tuple(tuple(work[i]) for i in range(r))
-    return out, r, tuple(pivots)
-
-
-def _reduce(axpy: RowOp, rows: Sequence[Sequence[int]],
-            pivots: Sequence[int], vec: Sequence[int]) -> Sequence[int]:
-    """vec minus the combination of the RREF ``rows`` that clears its
-    entries at ``pivots``."""
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c != 0:
-            vec = axpy(c, vec, row)
-    return vec
-
-
-def mat_vec(level: Field, rows: Sequence[Sequence[int]],
-            vec: Sequence[int]) -> Tuple[int, ...]:
-    """vec * rows (row vector times matrix)."""
-    axpy = _row_kernel(level)[1]
-    neg = level.neg
-    out = [0] * (len(rows[0]) if rows else 0)
-    for c, row in zip(vec, rows):
-        if c != 0:
-            out = axpy(neg(c), out, row)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +69,17 @@ def rank_gf2(rows: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 # Canonical subspaces.
 # ---------------------------------------------------------------------------
+
+
+def _reduce(axpy: RowOp, rows: Sequence[Sequence[int]],
+            pivots: Sequence[int], vec: Sequence[int]) -> Sequence[int]:
+    """vec minus the combination of the RREF ``rows`` that clears its
+    entries at ``pivots``."""
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c != 0:
+            vec = axpy(c, vec, row)
+    return vec
 
 
 class Subspace:

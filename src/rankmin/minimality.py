@@ -156,36 +156,39 @@ def is_r_minimal(code: RankCode, r: int, method: str = "grw",
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    tower, m, k = code.tower, code.tower.m, code.k
-    if r == 0 or r >= k:
+    if r == 0 or r >= code.k:
         return MinimalityVerdict(True, "trivial")
     if method == "all":
         methods = ["grw", "cutting", "definition"]
         if dual_criterion_applicable(code, r):
             methods.append("dual")
-        verdicts = [is_r_minimal(code, r, mth) for mth in methods]
-        if len({v.verdict for v in verdicts}) != 1:
-            raise CertificateError(
-                f"criteria disagree on r={r}: "
-                + str({v.method: v.verdict for v in verdicts}))
-        return verdicts[0]
-    if method == "grw":
-        ok = grw(code, r + 1) >= m * r + 1
-    elif method == "cutting":
-        ok = is_cutting(tower, k, column_support(code), r).verdict
-    elif method == "dual":
-        if not dual_criterion_applicable(code, r):
-            raise MethodInapplicable(_DUAL_PRECONDITION)
-        dual_code = code.dual()
-        ok = grw(dual_code, code.n - (m - 1) * r - k + 1) >= code.n - m * r + 1
-    elif method == "definition":
-        ok = _r_minimal_definition(code, r)
+        verdicts = {mth: _criterion(code, r, mth) for mth in methods}
+        if len(set(verdicts.values())) != 1:
+            raise CertificateError(f"criteria disagree on r={r}: {verdicts}")
+        method, ok = "grw", verdicts["grw"]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ok = _criterion(code, r, method)
     verdict = MinimalityVerdict(ok, method)
     if not ok:
         verdict.witness = _refute_r_minimal(code, r)
     return verdict
+
+
+def _criterion(code: RankCode, r: int, method: str) -> bool:
+    """One criterion's verdict on r-minimality, for 1 <= r <= k - 1."""
+    tower, m, k = code.tower, code.tower.m, code.k
+    if method == "grw":
+        return grw(code, r + 1) >= m * r + 1
+    if method == "cutting":
+        return is_cutting(tower, k, column_support(code), r).verdict
+    if method == "dual":
+        if not dual_criterion_applicable(code, r):
+            raise MethodInapplicable(_DUAL_PRECONDITION)
+        return (grw(code.dual(), code.n - (m - 1) * r - k + 1)
+                >= code.n - m * r + 1)
+    if method == "definition":
+        return _r_minimal_definition(code, r)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _r_minimal_definition(code: RankCode, r: int) -> bool:

@@ -616,8 +616,11 @@ def census_codes(tower: FieldTower, n: int, k: int,
         report.counts["r_minimal"] = minimal
         report.counts["not_r_minimal"] = seen - minimal
         if k == r + 1:
-            report.formulas["r_minimal_formula"] = count_r_minimal(
-                tower.q, m, n, r)
+            formula = count_r_minimal(tower.q, m, n, r)
+            if minimal != formula:
+                raise CertificateError(f"census counted {minimal} r-minimal "
+                                       f"codes, the closed form {formula}")
+            report.formulas["r_minimal_formula"] = formula
     if constant_weight_r is not None:
         report.counts["constant_weight"] = constant
     if weight_of_interest is not None:

@@ -372,6 +372,24 @@ def test_census_command(capsys):
     assert obj["counts"]["r_minimal"] == 14
 
 
+def test_census_count_off_the_closed_form_exits_4(capsys, monkeypatch):
+    # k = r + 1: the counted r-minimal codes must match count_r_minimal
+    real = search.is_r_minimal
+    calls = itertools.count()
+
+    def flip_first(code, r, method="grw"):
+        verdict = real(code, r, method)
+        if next(calls) == 0:
+            verdict.verdict = not verdict.verdict
+        return verdict
+
+    monkeypatch.setattr(search, "is_r_minimal", flip_first)
+    code, out, err = run(capsys, "census", "--field", GF4, "--n", "3",
+                         "--k", "2", "--r", "1", "--json")
+    assert code == EXIT_CHECK and out == ""
+    assert "closed form" in err and "Traceback" not in err
+
+
 def test_verify_command_deterministic(capsys):
     code, out1, _ = run(capsys, "verify", "--suite", "grw-monotone",
                         "--trials", "20", "--seed", "7", "--json")
@@ -419,6 +437,8 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
 # k < 1 is blamed on k, not on an r that no k < 1 admits
 BAD_K_ARGV = ["omega", "--field", "p=2,e=1,m=3", "--k", "-1", "--r", "0",
               "--scan-dim", "0"]
+# a directory where a file is read or written
+A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
 
 
 @pytest.mark.parametrize("argv", [
@@ -482,6 +502,10 @@ BAD_K_ARGV = ["omega", "--field", "p=2,e=1,m=3", "--k", "-1", "--r", "0",
     ["count", "--q", "2", "--n", "3", "--r", "1", "--kind", "qdelta",
      "--m", "5"],
     BAD_K_ARGV,
+    ["wt", "--field", GF4, "--code", A_DIRECTORY],
+    ["cutting", "--field", GF4, "--r", "1", "--subspace", A_DIRECTORY],
+    ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
+     "--cert-out", A_DIRECTORY],
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

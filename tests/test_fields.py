@@ -1,5 +1,6 @@
 import pickle
 import random
+import types
 
 import pytest
 
@@ -129,6 +130,28 @@ def test_dependent_basis_rejected():
         make_field(2, 2, basis=(1, 1))
     with pytest.raises(BadBasis):
         make_field(2, 2, basis=(3, 0))
+
+
+@pytest.mark.parametrize("p, e, m", [(2, 2, 2), (3, 2, 2), (2, 1, 4)])
+def test_random_bases_are_inverted_or_rejected(p, e, m):
+    # the basis matrix is inverted by row reduction: an independent basis
+    # gets the coordinates found by solving, a dependent one BadBasis
+    rng = random.Random(100 * p + 10 * e + m)
+    default = make_field(p, m, e=e)
+    outcomes = set()
+    for _ in range(16):
+        basis = [rng.randrange(default.order) for _ in range(m)]
+        expected = _coords_by_solving(types.SimpleNamespace(
+            E=default.E, m=m, q=default.q, basis=basis))
+        outcomes.add(len(expected) == default.order)
+        if len(expected) < default.order:
+            with pytest.raises(BadBasis):
+                make_field(p, m, e=e, basis=basis)
+            continue
+        tower = make_field(p, m, e=e, basis=basis)
+        assert [tower.to_coords(x) for x in range(tower.order)] \
+            == [expected[x] for x in range(tower.order)]
+    assert outcomes == {True, False}
 
 
 def test_spec_string_roundtrip():

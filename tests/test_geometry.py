@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from rankmin.fields import make_field
+from rankmin.fields import int_to_digits, make_field
 from rankmin.geometry import (
     PreconditionViolated,
+    _e_line,
+    _first_avoiding,
     avoid_complement,
     avoid_set,
     is_cutting,
@@ -277,6 +279,53 @@ def test_avoid_complement_precondition_errors():
     h = Subspace.full(GF4, "F", 4)
     with pytest.raises(PreconditionViolated):
         avoid_complement(GF4, 2, h, 1)  # dim 4 > m*t = 2
+
+
+def first_avoiding_oracle(tower, k, meets):
+    """The first nonzero z of E^[k] in encoded order, every vector tested,
+    for which ``meets`` is false; None if there is none."""
+    for enc in range(1, tower.order**k):
+        z = int_to_digits(enc, tower.order, k)
+        if not meets(z):
+            return z
+    return None
+
+
+@pytest.mark.parametrize("tower", [
+    GF4,
+    make_field(2, 3, ext_poly=(1, 1, 0, 1), basis=(1, 3, 7)),
+    make_field(3, 2),
+    make_field(2, 2, e=2),
+], ids=["GF4", "GF8-basis", "GF9", "GF16-GF4"])
+def test_first_avoiding_tests_one_vector_per_line(tower):
+    # both greedy predicates depend only on the E-line of z, so testing the
+    # first vector of each line returns what the full scan returns
+    rng = random.Random(tower.order)
+    big_q, m, mul = tower.order, tower.m, tower.E.mul
+    for k in (1, 2, 3):
+        lines = [z for z in (int_to_digits(enc, big_q, k)
+                             for enc in range(1, big_q**k))
+                 if [x for x in z if x][-1] == 1]
+        for _ in range(6):
+            # one random vector on each of the first few lines and on
+            # some later ones
+            head = rng.randrange(len(lines) + 1)
+            cur = {(0,) * k} | {
+                tuple(mul(rng.randrange(1, big_q), x) for x in z)
+                for i, z in enumerate(lines)
+                if i < head or rng.random() < 0.3}
+            h = random_fsub(tower, k, rng.randrange(
+                max(0, m * k - m - 2), m * k + 1), rng)
+            for meets in (
+                    lambda z: any(tuple(mul(b, x) for x in z) in cur
+                                  for b in range(1, big_q)),
+                    lambda z: h.intersection_dim(_e_line(tower, z)) > 0):
+                want = first_avoiding_oracle(tower, k, meets)
+                if want is None:
+                    with pytest.raises(PreconditionViolated):
+                        _first_avoiding(tower, k, meets)
+                else:
+                    assert _first_avoiding(tower, k, meets) == want
 
 
 def test_avoid_set_prop41():

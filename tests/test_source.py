@@ -80,14 +80,22 @@ def test_no_unused_locals(path):
 
 
 def test_linalg_row_operations_use_the_row_kernel():
-    # rref, reduce_vector, mat_vec and intersection_dim (and the reduction
-    # step they share) reach field arithmetic only through linalg's row
-    # kernel, so a second per-element elimination loop cannot come back
-    tree = ast.parse((SRC / "linalg.py").read_text())
-    funcs = {node.name: node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)}
-    for name in ("rref", "_reduce", "reduce_vector", "mat_vec",
-                 "intersection_dim"):
+    # eliminations, reductions, polynomial remainders and custom-basis
+    # coordinates reach field arithmetic only through the row kernel of
+    # their level, so a second per-element loop cannot come back; each
+    # function is looked up in the module that defines it
+    funcs = {}
+    for module in ("fields", "linalg"):
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                funcs.update((f"{node.name}.{item.name}", item)
+                             for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+    for name in ("rref", "mat_vec", "_poly_mod", "FieldTower.to_coords",
+                 "_reduce", "Subspace.reduce_vector",
+                 "Subspace.intersection_dim"):
         direct = sorted(node.lineno for node in ast.walk(funcs[name])
                         if isinstance(node, ast.Attribute)
                         and node.attr in ("add", "sub", "mul"))

@@ -51,7 +51,8 @@ def test_all_suites_registered_and_pass_briefly():
 
 
 def test_agreement_failures_carry_runnable_recheck(monkeypatch):
-    real_cutting, real_minimal = geometry.is_cutting, minimality.is_r_minimal
+    real_cutting = geometry.is_cutting
+    real_definition = minimality._r_minimal_definition
 
     def lying_cutting(tower, k, s, r, route="evasive"):
         verdict = real_cutting(tower, k, s, r, route)
@@ -59,16 +60,12 @@ def test_agreement_failures_carry_runnable_recheck(monkeypatch):
             verdict.verdict = not verdict.verdict
         return verdict
 
-    def lying_minimal(code, r, method="grw"):
-        verdict = real_minimal(code, r, method)
-        if method == "definition":
-            verdict.verdict = not verdict.verdict
-        return verdict
+    def lying_definition(code, r):
+        return not real_definition(code, r)
 
     for module in (geometry, suites):
         monkeypatch.setattr(module, "is_cutting", lying_cutting)
-    for module in (minimality, suites):
-        monkeypatch.setattr(module, "is_r_minimal", lying_minimal)
+    monkeypatch.setattr(minimality, "_r_minimal_definition", lying_definition)
     parser = build_parser()
     for name, flag, key in (("cutting-threeway", "subspace", "s"),
                             ("criteria-agreement", "code", "code")):
