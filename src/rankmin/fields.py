@@ -22,9 +22,10 @@ Each engine owns its row kernel (``_row_kernel``), built on first use:
 XOR plus a cached multiplication-table row per scalar when p = 2, one
 residue mod p over GF(p), and a multiplication row plus a subtraction
 table for the other levels of order at most 256; larger levels call the
-engine's mul and sub.  ``rref``, the package's one Gauss-Jordan
-elimination, and ``mat_vec`` run on it, and so do the tower's own
-polynomial remainders, basis inversion and custom-basis coordinates.
+engine's mul and sub.  It is the only place that reads an engine's add,
+sub or mul: ``rref``, the package's one Gauss-Jordan elimination, and
+``mat_vec`` run on it, and so do the tower's own polynomial products and
+remainders, basis inversion and custom-basis coordinates.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class _PolyField:
     def __init__(self, subfield, degree: int, modulus: Sequence[int]):
         if len(modulus) != degree + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of the stated degree")
+        if not all(0 <= c < subfield.order for c in modulus):
+            raise ValueError(f"coefficients must lie in [0, {subfield.order})")
         if not _is_irreducible(modulus, subfield):
             raise NonIrreducible(f"polynomial {list(modulus)} factors")
         self.subfield = subfield
@@ -116,40 +119,23 @@ class _PolyField:
         self.p = subfield.p
         self.order = subfield.order**degree
         self.add, self.sub, self.neg = _additive_law(self.p, self.order)
-        # x^degree = -(low-order part of modulus)
-        self._overflow = tuple(subfield.neg(c) for c in modulus[:degree])
+        self._modulus = tuple(modulus)
         self._log: Optional[List[int]] = None
         self._exp: Optional[List[int]] = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
-    # -- packed digit helpers -------------------------------------------
-    def _digits(self, a: int) -> Tuple[int, ...]:
-        return int_to_digits(a, self.base, self.degree)
-
-    def _pack(self, digits: Sequence[int]) -> int:
-        return digits_to_int(digits, self.base)
-
     def _mul_poly(self, a: int, b: int) -> int:
-        s = self.subfield
-        d = self.degree
-        da, db = self._digits(a), self._digits(b)
+        """a*b on the packed base-s digits: one subfield row op per nonzero
+        digit of b, then the remainder by the modulus."""
+        s, d = self.subfield, self.degree
+        axpy = _row_kernel(s)[1]
+        da = int_to_digits(a, self.base, d)
         prod = [0] * (2 * d - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y:
-                    prod[i + j] = s.add(prod[i + j], s.mul(x, y))
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j, o in enumerate(self._overflow):
-                if o:
-                    prod[i - d + j] = s.add(prod[i - d + j], s.mul(c, o))
-        return self._pack(prod[:d])
+        for j, y in enumerate(int_to_digits(b, self.base, d)):
+            if y != 0:
+                prod[j:j + d] = axpy(s.neg(y), prod[j:j + d], da)
+        return digits_to_int(_poly_mod(prod, self._modulus, s), self.base)
 
     def _build_tables(self) -> None:
         n = self.order
@@ -380,8 +366,10 @@ class FieldTower:
         self.m = m
         prime = _PrimeField(p)
         if e == 1:
+            if base_poly is not None:
+                raise ValueError("base_poly is only given when e > 1")
             self.F = prime
-            self.base_poly = tuple(base_poly) if base_poly is not None else None
+            self.base_poly = None
         else:
             if base_poly is None:
                 base_poly = default_irreducible(prime, e)
@@ -394,9 +382,8 @@ class FieldTower:
         self.ext_poly = tuple(ext_poly)
         self.order = self.E.order
 
-        if basis is None:
-            basis = tuple(self.q**i for i in range(m))  # 1, x, ..., x^(m-1)
-        basis = tuple(basis)
+        default = tuple(self.q**i for i in range(m))  # 1, x, ..., x^(m-1)
+        basis = default if basis is None else tuple(basis)
         if len(basis) != m:
             raise BadBasis(f"basis must have {m} elements")
         if not all(0 <= b < self.order for b in basis):
@@ -405,13 +392,14 @@ class FieldTower:
         # row j of T = polynomial digits of basis element j, so the digits
         # of x are its coordinates times T; the RREF of [T | I] is
         # [I | T^-1] exactly when T is invertible
-        rows, _, pivots = rref([int_to_digits(b, self.q, m)
-                                + tuple(int(i == j) for i in range(m))
-                                for j, b in enumerate(basis)], self.F)
+        self._basis_matrix = [int_to_digits(b, self.q, m) for b in basis]
+        rows, _, pivots = rref([row + tuple(int(i == j) for i in range(m))
+                                for j, row in enumerate(self._basis_matrix)],
+                               self.F)
         if pivots != tuple(range(m)):
             raise BadBasis("basis is not F-linearly independent")
         self._coord_matrix = [row[m:] for row in rows]
-        self._default_basis = basis == tuple(self.q**i for i in range(m))
+        self._default_basis = basis == default
         self._coords: Dict[int, Tuple[int, ...]] = {}
 
     # -- coordinates -------------------------------------------------------
@@ -434,12 +422,9 @@ class FieldTower:
         return digits
 
     def from_coords(self, coords: Sequence[int]) -> int:
-        if self._default_basis:
-            return digits_to_int(coords, self.q)
-        x = 0
-        for c, b in zip(coords, self.basis):
-            x = self.E.add(x, self.E.mul(c, b))
-        return x
+        if not self._default_basis:
+            coords = mat_vec(self.F, self._basis_matrix, coords)
+        return digits_to_int(coords, self.q)
 
     def encode(self, x: int) -> int:
         """External serialization integer (base-q digits = basis coordinates)."""
@@ -495,16 +480,14 @@ def make_field(p: int, m: int, *, e: int = 1,
                basis: Optional[Sequence[int]] = None) -> FieldTower:
     """Build and validate a tower GF(q^m)/GF(q) with q = p^e.
 
-    Raises NonIrreducible if either modulus factors and BadBasis if the
-    supplied basis is dependent.  Omitted polynomials default to the
-    lexicographically smallest monic irreducible of the right degree.
+    Raises ValueError if a modulus is not monic of the right degree over
+    its subfield or base_poly is given with e = 1, NonIrreducible if either
+    modulus factors and BadBasis if the supplied basis is dependent.
+    Omitted polynomials default to the lexicographically smallest monic
+    irreducible of the right degree.
     """
     if m < 1 or e < 1:
         raise ValueError("extension degrees must be >= 1")
-    if base_poly is not None and (len(base_poly) != e + 1 or base_poly[-1] != 1):
-        raise ValueError("base_poly must be monic of degree e")
-    if ext_poly is not None and (len(ext_poly) != m + 1 or ext_poly[-1] != 1):
-        raise ValueError("ext_poly must be monic of degree m")
     return FieldTower(p, e, m, base_poly, ext_poly, basis)
 
 

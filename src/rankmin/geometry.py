@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .fields import FieldTower, int_to_digits
+from .fields import FieldTower, _row_kernel, int_to_digits
 from .linalg import (
     CertificateError,
     Subspace,
@@ -141,11 +141,10 @@ def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
     """
     if a.level_name != "F" or a.ambient != k * tower.m:
         raise ValueError("A must be an F-subspace of the flattened E^[k]")
-    mul, core = tower.E.mul, a
+    scale, core = _row_kernel(tower.E)[0], a
     for tau in tower.basis:
         c = tower.E.inv(tau)
-        scaled = [flatten_vector(tower, [mul(c, x) for x in
-                                         unflatten_vector(tower, row)])
+        scaled = [flatten_vector(tower, scale(c, unflatten_vector(tower, row)))
                   for row in a.rows]
         core = core.intersect(Subspace.span(tower, "F", a.ambient, scaled))
     return core.dim // tower.m
@@ -157,12 +156,9 @@ def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
 
 
 def _stabilizer_count(tower: FieldTower, hset: frozenset, k: int) -> int:
-    count = 0
-    for a in range(1, tower.order):
-        scaled = frozenset(tuple(tower.E.mul(a, x) for x in v) for v in hset)
-        if scaled == hset:
-            count += 1
-    return count
+    scale = _row_kernel(tower.E)[0]
+    return sum(frozenset(tuple(scale(a, v)) for v in hset) == hset
+               for a in range(1, tower.order))
 
 
 def _first_avoiding(tower: FieldTower, k: int,
@@ -198,7 +194,7 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
     original = {tuple(v) for v in hset}
     if (0,) * k not in original:
         raise PreconditionViolated("H must contain 0")
-    big_q, add, mul = tower.order, tower.E.add, tower.E.mul
+    big_q, (scale, axpy) = tower.order, _row_kernel(tower.E)
     w = _stabilizer_count(tower, frozenset(original), k)
     if len(original) > w * (big_q ** (k + 1 - t) - 1) // (big_q - 1):
         raise PreconditionViolated("|H| exceeds the greedy bound")
@@ -207,10 +203,10 @@ def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
     for _ in range(t):
         # z avoids every aH, a != 0  <=>  no bz lies in H, b != 0
         z = _first_avoiding(tower, k, lambda z: any(
-            tuple(mul(b, x) for x in z) in cur for b in range(1, big_q)))
+            tuple(scale(b, z)) in cur for b in range(1, big_q)))
         lines.append(z)
-        cur = {tuple(add(a, mul(c, b)) for a, b in zip(v, z))
-               for v in cur for c in range(big_q)}
+        # v - cz over every c in E is v + cz over every c in E
+        cur = {tuple(axpy(c, v, z)) for v in cur for c in range(big_q)}
     out = Subspace.span(tower, "E", k, lines)
     if out.dim != t:
         raise CertificateError(f"avoiding span has dimension {out.dim} != {t}")

@@ -259,13 +259,14 @@ def decode_rows(obj: dict, rows_key: str, width_key: str, order: int,
         if key not in obj:
             raise ValueError(f"missing key {key!r}")
     width, rows = obj[width_key], obj[rows_key]
-    if not isinstance(width, int) or width < 0:
+    # bool subclasses int, but a JSON true/false is no count or element
+    if type(width) is not int or width < 0:
         raise ValueError(f"{width_key!r} must be a nonnegative integer")
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and len(row) == width for row in rows):
         raise ValueError(f"{rows_key!r} must be a list of rows of length "
                          f"{width}")
-    if not all(isinstance(v, int) and 0 <= v < order
+    if not all(type(v) is int and 0 <= v < order
                for row in rows for v in row):
         raise ValueError(f"{rows_key!r} entries must be integers in "
                          f"[0, {order})")
@@ -422,10 +423,7 @@ def f_rational_part(tower: FieldTower, esub: Subspace) -> Subspace:
     inter = flat.intersect(embedded)
     one = tower.to_coords(1)
     j = next(i for i, c in enumerate(one) if c != 0)
-    mul = tower.F.mul
+    scale = _row_kernel(tower.F)[0]
     cinv = tower.F.inv(one[j])
-    m = tower.m
-    vecs = []
-    for row in inter.rows:
-        vecs.append(tuple(mul(cinv, row[b * m + j]) for b in range(n)))
+    vecs = [scale(cinv, row[j::tower.m]) for row in inter.rows]
     return Subspace.span(tower, "F", n, vecs)

@@ -77,6 +77,7 @@ def is_rank_minimal(code: RankCode, b: Subspace, method: str = "criterion",
     The zero subcode is vacuously minimal.
     """
     tower = code.tower
+    code.check_message_space(b)
     if b.dim == 0:
         return MinimalityVerdict(True, method)
     if method == "criterion":

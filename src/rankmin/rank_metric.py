@@ -16,6 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .fields import FieldTower
 from .geometry import avoid_complement
 from .linalg import (
+    AmbientMismatch,
     CertificateError,
     Subspace,
     decode_rows,
@@ -53,8 +54,15 @@ class RankCode:
             return (0,) * self.n
         return mat_vec(self.tower.E, self.gen, gamma)
 
+    def check_message_space(self, b: Subspace) -> None:
+        """Raise AmbientMismatch unless B lies in E^k, the gammas' space."""
+        if (b.level_name != "E" or b.ambient != self.k
+                or b.tower is not self.tower and b.tower != self.tower):
+            raise AmbientMismatch(f"B must be an E-subspace of E^{self.k}")
+
     def subcode(self, b: Subspace) -> "RankCode":
         """The subcode {gamma G | gamma in B} for B <= E^k."""
+        self.check_message_space(b)
         return RankCode(self.tower, self.n,
                         [self.codeword(g) for g in b.rows])
 
@@ -115,6 +123,7 @@ def chi_code(code: RankCode) -> Subspace:
 
 def subcode_support(code: RankCode, b: Subspace) -> Subspace:
     """chi of the subcode {gamma G | gamma in B}, from B's codewords."""
+    code.check_message_space(b)
     return chi(code.tower, [code.codeword(g) for g in b.rows], code.n)
 
 
@@ -145,6 +154,7 @@ def transposed_dual(tower: FieldTower, b: Subspace) -> Subspace:
 def subcode_weight(code: RankCode, b: Subspace, cross_check: bool = False) -> int:
     """Weight of the subcode {gamma G | gamma in B} via the dual-intersection
     formula, optionally cross-checked against the direct support."""
+    code.check_message_space(b)
     if b.dim == 0:
         return 0
     u = column_support(code)

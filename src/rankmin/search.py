@@ -49,7 +49,7 @@ from .combinatorics import (
     omega_bounds,
     qbinom,
 )
-from .fields import FieldTower, int_to_digits
+from .fields import FieldTower, _row_kernel, int_to_digits
 from .geometry import cutting_evasive_params, is_cutting, is_evasive
 from .linalg import (
     ENUM_ORDER_TAG,
@@ -163,13 +163,14 @@ class _LineTable:
         line_of = [0] * (1 << k * shift) if tower.p == 2 else {}
         # every line once, through its RREF row: 1 at the pivot lead, 0
         # before it, so packing the multiples starts at the pivot
+        scale = _row_kernel(tower.E)[0]
         for lid, line in enumerate(enumerate_subspaces(tower, "E", k, 1)):
             lead = line.pivots[0]
             tail = line.rows[0][lead + 1:]
             for lam in range(1, tower.order):
                 v = comp[lam] << (lead * shift)
-                for j, x in enumerate(tail, lead + 1):
-                    v |= comp[tower.E.mul(lam, x)] << (j * shift)
+                for j, x in enumerate(scale(lam, tail), lead + 1):
+                    v |= comp[x] << (j * shift)
                 line_of[v] = lid
         self.line_of = line_of
         self.num_lines = lid + 1
@@ -247,9 +248,12 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     # changing a cell's value is a plain integer add.
     block = table.width * ambient * e
 
+    betas = [p ** j for j in range(e)]
+    scale = _row_kernel(tower.F)[0]
+
     def scaled(col: int, a: int) -> int:
-        return sum(table.pack((tower.F.mul(p ** j, a),), col) << (j * block)
-                   for j in range(e))
+        return sum(table.pack((x,), col) << (j * block)
+                   for j, x in enumerate(scale(a, betas)))
 
     cells = free_cells(pivots, ambient)
     val = [[scaled(c, a) for a in range(q)] for _, c in cells]

@@ -427,6 +427,12 @@ def _cutting(sub_obj):
             "--subspace", json.dumps(sub_obj)]
 
 
+def _subcode(command, sub_obj):
+    return [command, "--code", json.dumps({"field": GF4, "n": 3, "k": 2,
+                                           "rows": [[1, 0, 2], [0, 1, 1]]}),
+            "--subcode", json.dumps(sub_obj), "--json"]
+
+
 def _scan_shard(shards, index):
     return ["omega", "--field", GF4, "--k", "2", "--r", "1", "--scan-dim",
             "3", "--shards", str(shards), "--shard-index", str(index),
@@ -506,6 +512,19 @@ A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
     ["cutting", "--field", GF4, "--r", "1", "--subspace", A_DIRECTORY],
     ["omega", "--field", GF4, "--k", "2", "--r", "1", "--threads", "1",
      "--cert-out", A_DIRECTORY],
+    ["field", "--field", "p=3,e=2,m=2,ext=100,1,1"],       # coefficient >= q
+    # B names a subcode only as an E-subspace of E^k (here k = 2)
+    _subcode("maximal", {"level": "F", "ambient": 2, "rref_basis": [[1, 0]]}),
+    _subcode("maximal", {"level": "E", "ambient": 3,
+                         "rref_basis": [[1, 0, 0]]}),
+    _subcode("rank-minimal", {"level": "F", "ambient": 2,
+                              "rref_basis": [[1, 0]]}),
+    _subcode("rank-minimal", {"level": "E", "ambient": 3,
+                              "rref_basis": [[1, 0, 0]]}),
+    # a JSON boolean is neither a width nor an element
+    ["grw", "--code", json.dumps({"field": GF4, "n": True, "k": 1,
+                                  "rows": [[1]]}), "--json"],
+    _wt({"n": 2, "rows": [[True, False]]}),
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ from rankmin.fields import (
     BadBasis,
     NonIrreducible,
     default_irreducible,
+    digits_to_int,
     int_to_digits,
     make_field,
     parse_field_spec,
@@ -107,12 +108,47 @@ def test_field_axioms_on_random_triples(tower):
         assert add(a, tower.E.neg(a)) == 0
 
 
+def _schoolbook_mul(fld, a, b):
+    """a*b in a polynomial engine, one subfield add and mul per coefficient
+    pair, then x^d replaced by minus the low part of the modulus, highest
+    power first."""
+    s, d = fld.subfield, fld.degree
+    da, db = int_to_digits(a, fld.base, d), int_to_digits(b, fld.base, d)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = s.add(prod[i + j], s.mul(x, y))
+    overflow = [s.neg(c) for c in fld._modulus[:d]]
+    for i in range(2 * d - 2, d - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j, o in enumerate(overflow):
+            prod[i - d + j] = s.add(prod[i - d + j], s.mul(c, o))
+    return digits_to_int(prod[:d], fld.base)
+
+
+@pytest.mark.parametrize("tower", LAW_TOWERS,
+                         ids=lambda t: f"GF({t.order})/GF({t.q})")
+def test_mul_poly_matches_the_schoolbook_oracle(tower):
+    # the row-kernel convolution and _poly_mod remainder of every
+    # polynomial engine of the tower (E, and F when e > 1)
+    rng = random.Random(tower.order)
+    engines = [tower.E] + ([tower.F] if tower.e > 1 else [])
+    for fld in engines:
+        for _ in range(200):
+            a, b = rng.randrange(fld.order), rng.randrange(fld.order)
+            assert fld._mul_poly(a, b) == _schoolbook_mul(fld, a, b)
+
+
 def test_schoolbook_path_above_table_limit():
     # GF(2^17) exceeds the log-table limit; exercise polynomial multiply
     tower = make_field(2, 17)
     a, b = 0b1011011, 0b1100101
     ab = tower.E.mul(a, b)
     assert tower.E.mul(ab, tower.E.inv(b)) == a
+    rng = random.Random(17)
+    for _ in range(100):
+        a, b = rng.randrange(tower.order), rng.randrange(tower.order)
+        assert tower.E.mul(a, b) == _schoolbook_mul(tower.E, a, b)
 
 
 def test_custom_basis_coords():
@@ -151,6 +187,8 @@ def test_random_bases_are_inverted_or_rejected(p, e, m):
         tower = make_field(p, m, e=e, basis=basis)
         assert [tower.to_coords(x) for x in range(tower.order)] \
             == [expected[x] for x in range(tower.order)]
+        assert all(tower.from_coords(expected[x]) == x
+                   for x in range(tower.order))
     assert outcomes == {True, False}
 
 
@@ -161,6 +199,20 @@ def test_spec_string_roundtrip():
     assert again == tower
     deep = make_field(2, 2, e=2)
     assert parse_field_spec(deep.spec_string()) == deep
+
+
+@pytest.mark.parametrize("spec", [
+    "p=3,e=2,m=2,ext=100,1,1",              # coefficient >= |F|
+    "p=2,e=2,m=2,base=1,1,1,ext=7,1,1",
+    "p=2,e=1,m=3,ext=3,1,0,1",              # coefficient >= p
+    "p=2,e=1,m=3,ext=-1,1,0,1",             # negative coefficient
+    "p=2,m=2,base=1,1",                     # base= with e = 1
+])
+def test_malformed_tower_definitions_are_rejected(spec):
+    # a spec names one tower: every coefficient is a field element, and
+    # base= appears exactly when spec_string would write it back
+    with pytest.raises(ValueError):
+        parse_field_spec(spec)
 
 
 def test_spec_string_keeps_a_custom_basis():
