@@ -292,6 +292,8 @@ def rref(rows: Sequence[Sequence[int]], level: Field,
 def mat_vec(level: Field, rows: Sequence[Sequence[int]],
             vec: Sequence[int]) -> Tuple[int, ...]:
     """vec * rows (row vector times matrix)."""
+    if len(vec) != len(rows):
+        raise ValueError(f"vector of length {len(vec)} times {len(rows)} rows")
     axpy = _row_kernel(level)[1]
     neg = level.neg
     out = [0] * (len(rows[0]) if rows else 0)
@@ -354,6 +356,11 @@ def default_irreducible(fld, degree: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# the spec grammar: p, e and m take one integer each; base, ext and basis
+# take the integers up to the next key
+_SPEC_KEYS = ("p", "e", "m", "base", "ext", "basis")
+
+
 class FieldTower:
     """Immutable description of GF(q^m)/GF(q); all ops are pure."""
 
@@ -401,6 +408,10 @@ class FieldTower:
         self._coord_matrix = [row[m:] for row in rows]
         self._default_basis = basis == default
         self._coords: Dict[int, Tuple[int, ...]] = {}
+        # what the tower is: equality, hashing, pickling and spec strings
+        # read this, in __init__'s order (basis None = polynomial basis)
+        self._definition = (p, e, m, self.base_poly, self.ext_poly,
+                            None if self._default_basis else basis)
 
     # -- coordinates -------------------------------------------------------
     def to_coords(self, x: int) -> Tuple[int, ...]:
@@ -446,32 +457,25 @@ class FieldTower:
 
     # -- serialization -------------------------------------------------------
     def spec_string(self) -> str:
-        parts = [f"p={self.p}", f"e={self.e}", f"m={self.m}"]
-        if self.e > 1:
-            parts.append("base=" + ",".join(str(c) for c in self.base_poly))
-        parts.append("ext=" + ",".join(str(c) for c in self.ext_poly))
-        if not self._default_basis:
-            parts.append("basis=" + ",".join(str(b) for b in self.basis))
-        return ",".join(parts)
+        return ",".join(
+            f"{key}={val}" if isinstance(val, int)
+            else key + "=" + ",".join(map(str, val))
+            for key, val in zip(_SPEC_KEYS, self._definition)
+            if val is not None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTower(GF({self.q}^{self.m})/GF({self.q}))"
 
     def __reduce__(self):
         # the engines hold closures; a tower pickles as its definition
-        return FieldTower, (self.p, self.e, self.m, self.base_poly,
-                            self.ext_poly, self.basis)
+        return FieldTower, self._definition
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldTower)
-                and (self.p, self.e, self.m, self.base_poly, self.ext_poly,
-                     self.basis)
-                == (other.p, other.e, other.m, other.base_poly,
-                    other.ext_poly, other.basis))
+                and self._definition == other._definition)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.e, self.m, self.base_poly, self.ext_poly,
-                     self.basis))
+        return hash(self._definition)
 
 
 def make_field(p: int, m: int, *, e: int = 1,
@@ -492,41 +496,27 @@ def make_field(p: int, m: int, *, e: int = 1,
 
 
 def parse_field_spec(spec: str) -> FieldTower:
-    """Parse a field spec string, e.g. ``p=2,e=1,m=3,ext=1,1,0,1``; a
-    trailing ``basis=b1,...,bm`` names a custom ordered basis (internal
-    element integers)."""
-    p = e = m = None
-    base: Optional[List[int]] = None
-    ext: Optional[List[int]] = None
-    basis: Optional[List[int]] = None
+    """Parse a field spec string, e.g. ``p=2,e=1,m=3,ext=1,1,0,1``;
+    ``basis=b1,...,bm`` names a custom ordered basis (internal element
+    integers).  Keys come in any order, and a repeated key replaces the
+    earlier one."""
+    values: Dict[str, List[int]] = {}
     current: Optional[List[int]] = None
     for token in spec.split(","):
-        token = token.strip()
-        if "=" in token:
-            key, val = token.split("=", 1)
-            key = key.strip()
-            if key == "p":
-                p, current = int(val), None
-            elif key == "e":
-                e, current = int(val), None
-            elif key == "m":
-                m, current = int(val), None
-            elif key == "base":
-                base = [int(val)]
-                current = base
-            elif key == "ext":
-                ext = [int(val)]
-                current = ext
-            elif key == "basis":
-                basis = [int(val)]
-                current = basis
-            else:
-                raise ValueError(f"unknown field spec key {key!r}")
-        else:
+        key, eq, val = token.strip().partition("=")
+        if not eq:
             if current is None:
-                raise ValueError(f"stray token {token!r} in field spec")
-            current.append(int(token))
+                raise ValueError(f"stray token {key!r} in field spec")
+            current.append(int(key))
+            continue
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise ValueError(f"unknown field spec key {key!r}")
+        values[key] = current = [int(val)]
+        if key in _SPEC_KEYS[:3]:
+            current = None
+    p, e, m, base, ext, basis = map(values.get, _SPEC_KEYS)
     if p is None or m is None:
         raise ValueError("field spec needs at least p= and m=")
-    return make_field(p, m, e=1 if e is None else e, base_poly=base,
+    return make_field(p[0], m[0], e=e[0] if e else 1, base_poly=base,
                       ext_poly=ext, basis=basis)

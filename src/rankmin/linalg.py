@@ -159,6 +159,8 @@ class Subspace:
     # -- membership ----------------------------------------------------------
     def reduce_vector(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Reduce vec modulo this subspace (eliminate pivot coordinates)."""
+        if len(vec) != self.ambient:
+            raise AmbientMismatch("vector length does not match ambient")
         return tuple(_reduce(_row_kernel(self.level)[1], self.rows,
                              self.pivots, vec))
 

@@ -22,35 +22,35 @@ from .linalg import (
     decode_rows,
     enumerate_subspaces,
     flatten_subspace,
-    flatten_vector,
     mat_vec,
     meet_dims,
-    rref,
     subspaces_of,
 )
 
 
 class RankCode:
-    """An [n,k] E-linear code with canonical (RREF) generator matrix."""
+    """An [n,k] E-linear code: the E-subspace of E^n that it keeps, whose
+    canonical (RREF) basis is the generator matrix."""
 
-    __slots__ = ("tower", "n", "k", "gen", "_colspan")
+    __slots__ = ("space", "_colspan")
 
     def __init__(self, tower: FieldTower, n: int,
                  gen: Sequence[Sequence[int]]):
-        rows, rank, _ = rref(gen, tower.E)
-        if rank != len(list(gen)):
+        self.space = Subspace.span(tower, "E", n, gen)
+        if self.space.dim != len(gen):
             raise ValueError("generator rows are E-linearly dependent")
-        self.tower = tower
-        self.n = n
-        self.k = rank
-        self.gen = rows
         self._colspan: Optional[Subspace] = None
 
+    tower = property(lambda self: self.space.tower)
+    n = property(lambda self: self.space.ambient)
+    k = property(lambda self: self.space.dim)
+    gen = property(lambda self: self.space.rows)
+
     def as_subspace(self) -> Subspace:
-        return Subspace.span(self.tower, "E", self.n, self.gen)
+        return self.space
 
     def codeword(self, gamma: Sequence[int]) -> Tuple[int, ...]:
-        if self.k == 0:
+        if self.k == 0 == len(gamma):  # mat_vec rejects any other gamma
             return (0,) * self.n
         return mat_vec(self.tower.E, self.gen, gamma)
 
@@ -68,14 +68,13 @@ class RankCode:
 
     def dual(self) -> "RankCode":
         """C^perp under the standard bilinear form."""
-        return RankCode(self.tower, self.n, self.as_subspace().dual().rows)
+        return RankCode(self.tower, self.n, self.space.dual().rows)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RankCode) and self.tower == other.tower
-                and self.n == other.n and self.gen == other.gen)
+        return isinstance(other, RankCode) and self.space == other.space
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gen))
+        return hash(self.space)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankCode([{self.n},{self.k}] over GF({self.tower.order}))"
@@ -133,17 +132,14 @@ def weight(code: RankCode) -> int:
 
 
 def column_support(code: RankCode) -> Subspace:
-    """U = <cols(G)>_F inside E^[k], flattened to F^(km)."""
-    if code._colspan is not None:
-        return code._colspan
-    tower = code.tower
-    cols = []
-    for j in range(code.n):
-        col = tuple(code.gen[i][j] for i in range(code.k))
-        cols.append(flatten_vector(tower, col))
-    u = Subspace.span(tower, "F", code.k * tower.m, cols)
-    code._colspan = u
-    return u
+    """U = <cols(G)>_F inside E^[k], flattened to F^(km): the column span of
+    the km x n coordinate matrix whose row span is chi(C)."""
+    if code._colspan is None:
+        tower = code.tower
+        mat = [row for g in code.gen for row in tower.expand(g)]
+        code._colspan = Subspace.span(tower, "F", code.k * tower.m,
+                                      list(zip(*mat)))
+    return code._colspan
 
 
 def transposed_dual(tower: FieldTower, b: Subspace) -> Subspace:

@@ -4,8 +4,10 @@ import types
 
 import pytest
 
+from rankmin import fields
 from rankmin.fields import (
     BadBasis,
+    FieldTower,
     NonIrreducible,
     default_irreducible,
     digits_to_int,
@@ -308,3 +310,132 @@ def test_memoized_coords_equal_the_direct_map(tower):
         [expected[x] for x in range(tower.order)]
     with pytest.raises(ValueError):
         again.to_coords(tower.order)
+
+
+def _parse_field_spec_oracle(spec, make_field):
+    """The per-key parser that the spec-key loop replaced, kept verbatim as
+    the differential oracle; ``make_field`` is passed in."""
+    p = e = m = None
+    base = ext = basis = current = None
+    for token in spec.split(","):
+        token = token.strip()
+        if "=" in token:
+            key, val = token.split("=", 1)
+            key = key.strip()
+            if key == "p":
+                p, current = int(val), None
+            elif key == "e":
+                e, current = int(val), None
+            elif key == "m":
+                m, current = int(val), None
+            elif key == "base":
+                base = [int(val)]
+                current = base
+            elif key == "ext":
+                ext = [int(val)]
+                current = ext
+            elif key == "basis":
+                basis = [int(val)]
+                current = basis
+            else:
+                raise ValueError(f"unknown field spec key {key!r}")
+        else:
+            if current is None:
+                raise ValueError(f"stray token {token!r} in field spec")
+            current.append(int(token))
+    if p is None or m is None:
+        raise ValueError("field spec needs at least p= and m=")
+    return make_field(p, m, e=1 if e is None else e, base_poly=base,
+                      ext_poly=ext, basis=basis)
+
+
+def _random_spec(rng):
+    """A spec of up to six keys in any order, repeats allowed, each with up
+    to three bare integers after it, padded with whitespace; half of the
+    specs also draw unknown keys, non-integers and blank or leading stray
+    tokens."""
+    keys = ["p", "m"] * 2 + ["e", "base", "ext", "basis"]
+    values = ["0", "1", "2", "3", "-1", "17", "+2"]
+    noisy = rng.random() < 0.5
+    if noisy:
+        keys += ["q", "P", "", "bas"]
+        values += ["x", "1.5", "", "2 3", "=1", "0x1"]
+
+    def padded(text):
+        return rng.choice(["", "", " ", "\t "]) + text + \
+            rng.choice(["", "", " ", " \t"])
+
+    tokens = [padded(rng.choice(values))] if noisy and rng.random() < 0.1 \
+        else []
+    for _ in range(rng.randrange(1, 7)):
+        key = rng.choice(keys)
+        tokens.append(padded(key) + "=" + padded(rng.choice(values)))
+        # bare integers after p, e or m are stray tokens
+        if key in ("base", "ext", "basis") or rng.random() < 0.1:
+            tokens += [padded(rng.choice(values))
+                       for _ in range(rng.randrange(4))]
+        if noisy and rng.random() < 0.1:
+            tokens.append(padded(""))
+    return ",".join(tokens)
+
+
+def _outcome(parse, spec):
+    try:
+        return "value", parse(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_spec_key_parser_matches_the_per_key_oracle(monkeypatch):
+    # both parsers hand make_field the same arguments, or fail with the
+    # same error type and message, on reordered and repeated keys, padded
+    # and blank tokens, stray tokens, unknown keys and bad integers; the
+    # stub only records its arguments, so no tower is built per case
+    def record(*args, **kwargs):
+        return args, kwargs
+
+    monkeypatch.setattr(fields, "make_field", record)
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(20000):
+        spec = _random_spec(rng)
+        want = _outcome(lambda s: _parse_field_spec_oracle(s, record), spec)
+        assert _outcome(fields.parse_field_spec, spec) == want, spec
+        kinds.add(want[0] if want[0] == "value" else want[1].split(" ")[0])
+    # the corpus reaches every outcome: a value, a bad integer, a stray
+    # token, an unknown key and a missing p= or m=
+    assert {"value", "invalid", "stray", "unknown", "field"} <= kinds
+
+
+@pytest.mark.parametrize("tower", [
+    make_field(2, 3, ext_poly=(1, 1, 0, 1), basis=[1, 3, 7]),
+    make_field(2, 2, e=2),
+    make_field(3, 2, e=2, basis=[1, 10]),
+], ids=["custom-basis", "e=2", "e=2-custom-basis"])
+def test_a_tower_is_its_definition(tower):
+    # equality, hashing, pickling and the spec string all read the one
+    # definition tuple, so every way back gives the same tower
+    for again in (pickle.loads(pickle.dumps(tower)),
+                  parse_field_spec(tower.spec_string()),
+                  FieldTower(*tower._definition)):
+        assert again == tower and hash(again) == hash(tower)
+        assert again._definition == tower._definition
+        assert again.spec_string() == tower.spec_string()
+    # towers that differ in one entry of the definition differ
+    p, e, m, base, ext, basis = tower._definition
+    if basis is not None:
+        plain = FieldTower(p, e, m, base, ext)
+        assert plain != tower and plain._definition[:5] == \
+            tower._definition[:5]
+    assert make_field(p, m + 1, e=e) != tower
+
+
+def test_an_explicit_polynomial_basis_is_the_default_tower():
+    tower = make_field(2, 3, basis=[1, 2, 4])
+    plain = make_field(2, 3)
+    assert tower == plain and hash(tower) == hash(plain)
+    assert pickle.loads(pickle.dumps(tower))._definition == \
+        plain._definition
+    assert tower.spec_string() == plain.spec_string() == \
+        "p=2,e=1,m=3,ext=1,0,1,1"
+

@@ -312,6 +312,19 @@ def test_ambient_mismatch():
         a.sum(b)
 
 
+def test_a_vector_of_the_wrong_length_is_not_reduced():
+    # reduce_vector and contains_vector reject the vector instead of
+    # reading it truncated or ignoring its extra entries
+    gf4 = make_field(2, 2, ext_poly=(1, 1, 1))
+    s = Subspace.span(gf4, "E", 3, [(1, 0, 2)])
+    assert s.reduce_vector((1, 0, 0)) == (0, 0, 2)
+    assert s.contains_vector((2, 0, 3)) and not s.contains_vector((1, 0, 0))
+    for vec, probe in [((1, 0), s.reduce_vector), ((1, 0), s.contains_vector),
+                       ((1, 0, 2, 1), s.contains_vector)]:
+        with pytest.raises(AmbientMismatch):
+            probe(vec)
+
+
 # ---------------------------------------------------------------------------
 # The row kernel against a definition-level reference: the per-element
 # elimination with one level.mul and one level.sub call per entry, and

@@ -299,6 +299,36 @@ def test_code_json_roundtrip():
     assert again == C32
 
 
+def test_a_code_is_the_subspace_it_keeps():
+    # RankCode's generator matrix, dimensions, equality and hash are its
+    # E-subspace's; as_subspace() hands that subspace back unreduced
+    space = Subspace.span(GF4, "E", 3, [(0, 1, 1), (1, 1, 3)])
+    code = RankCode(GF4, 3, [(0, 1, 1), (1, 1, 3)])
+    assert code.as_subspace() is code.space and code.space == space
+    assert (code.tower, code.n, code.k, code.gen) == \
+        (GF4, 3, 2, space.rows) == (GF4, 3, 2, C32.gen)
+    assert code == C32 and hash(code) == hash(C32) == hash(space)
+    assert code != RankCode(make_field(2, 2, basis=(1, 3)), 3, C32.gen)
+    assert code.dual().as_subspace() == space.dual()
+    with pytest.raises(ValueError):
+        RankCode(GF4, 3, [(1, 0, W), (W, 0, 3)])
+
+
+def test_rows_of_the_wrong_length_are_rejected():
+    # a generator row of the wrong length, or a message gamma outside
+    # E^k, raises instead of being read truncated
+    with pytest.raises(linalg.AmbientMismatch):
+        RankCode(GF4, 3, [[1, 0]])
+    with pytest.raises(linalg.AmbientMismatch):
+        RankCode(GF4, 2, [(1, 0, W)])
+    assert C32.codeword((1, 0)) == (1, 0, W)
+    zero = RankCode(GF4, 3, ())
+    assert zero.codeword(()) == (0, 0, 0)
+    for code, gamma in [(C32, (1,)), (C32, (1, 0, 3)), (zero, (1, 2, 3))]:
+        with pytest.raises(ValueError):
+            code.codeword(gamma)
+
+
 def test_support_containment_equivalence():
     """chi(Q) <= chi(D) iff Bdd cap U <= Pdd, for random B, P."""
     from rankmin.rank_metric import transposed_dual

@@ -99,3 +99,21 @@ def test_field_arithmetic_reaches_rows_only_through_the_row_kernel(module):
                     and node.attr in ("add", "sub", "mul")
                     and id(node) not in allowed)
     assert direct == [], f"{module}: field arithmetic on lines {direct}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py")
+                   if p.name not in ("fields.py", "linalg.py", "__init__.py")),
+    ids=lambda p: p.name)
+def test_only_fields_and_its_reexports_name_rref(path):
+    # one canonical form: a module other than fields (which defines rref),
+    # linalg and __init__ (which re-export it) builds a subspace or a code
+    # through Subspace.span and does not import or call rref itself
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "rref"
+        or isinstance(node, ast.Attribute) and node.attr == "rref"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "rref" for alias in node.names))
+    assert lines == [], f"{path.name}: rref on lines {lines}"
