@@ -433,6 +433,9 @@ class FieldTower:
         return digits
 
     def from_coords(self, coords: Sequence[int]) -> int:
+        if len(coords) != self.m or min(coords) < 0 or max(coords) >= self.q:
+            raise ValueError(f"{tuple(coords)} are not {self.m} coordinates "
+                             f"over GF({self.q})")
         if not self._default_basis:
             coords = mat_vec(self.F, self._basis_matrix, coords)
         return digits_to_int(coords, self.q)

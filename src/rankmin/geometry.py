@@ -16,8 +16,8 @@ from .fields import FieldTower, _row_kernel, int_to_digits
 from .linalg import (
     CertificateError,
     Subspace,
-    enumerate_subspaces,
     espan_of_flat,
+    flat_grid,
     flatten_subspace,
     flatten_vector,
     meet_dims,
@@ -105,18 +105,15 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
                 + str({v.route: v.verdict for v in verdicts}))
         return verdicts[2]
     if route == "definition":
-        for vsub in enumerate_subspaces(tower, "E", k, k - r):
-            flat = flatten_subspace(vsub)
-            inter = s.intersect(flat)
-            if espan_of_flat(inter).dim != k - r:
+        for vsub, flat in flat_grid(tower, k, k - r):
+            if espan_of_flat(s.intersect(flat)).dim != k - r:
                 return CuttingVerdict(False, route, vsub)
         return CuttingVerdict(True, route)
     if route == "prop21":
-        # the E-lines do not depend on W: flatten them once per call
-        lines = [(isub, flatten_subspace(isub))
-                 for isub in enumerate_subspaces(tower, "E", k, 1)]
-        for wsub in enumerate_subspaces(tower, "E", k, k - r - 1):
-            sw = s.sum(flatten_subspace(wsub))
+        # the E-lines are swept once per W: a streamed grid is kept per call
+        lines = tuple(flat_grid(tower, k, 1))
+        for _, wflat in flat_grid(tower, k, k - r - 1):
+            sw = s.sum(wflat)
             for isub, flat in lines:
                 if sw.intersection_dim(flat) == 0:
                     return CuttingVerdict(False, route, isub)

@@ -15,13 +15,19 @@ field engines (``_row_kernel``, ``rref``, ``mat_vec``, re-exported here):
 every row operation below goes through the kernel of its level.  When the
 base field is GF(2) the rows also pack into ints, which the rank helpers
 below use.
+
+The deciders sweep the flattened h-dimensional E-subspaces of E^k
+(``flat_grid``, read by ``meet_dims`` and the cutting routes).  One job
+sweeps the same few grids again and again, so a small grid is flattened
+once and kept for the job, within one budget of flattened rows over all
+kept grids; a grid larger than the budget streams.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .fields import (Field, FieldTower, RowOp, _row_kernel, int_to_digits,
                      mat_vec, rref)
@@ -380,6 +386,48 @@ def flatten_subspace(esub: Subspace) -> Subspace:
     return Subspace(tower, "F", esub.ambient * m, tuple(rows), tuple(pivots))
 
 
+# Flattened rows that all kept grids hold together (about 0.3 MB); a grid
+# larger than this streams.  A job sweeps the same few grids again and
+# again, but an unbounded memo of them doubles peak RSS on some jobs.
+_GRID_ROW_BUDGET = 1 << 10
+_GRIDS: Dict[Tuple[FieldTower, int, int],
+             Tuple[Tuple[Subspace, Subspace], ...]] = {}
+
+
+def flat_grid(tower: FieldTower, k: int, h: int,
+              ) -> Iterable[Tuple[Subspace, Subspace]]:
+    """(M, flatten_subspace(M)) for every h-dimensional E-subspace M of
+    E^k, in ``subspace-enum/1`` order.
+
+    A grid of at most ``_GRID_ROW_BUDGET`` flattened rows is built once,
+    GF(2) rows packed, and kept for the job in ``_GRIDS`` keyed by
+    (tower, k, h); keeping it empties the memo first when the kept grids
+    would pass the budget.  A larger grid streams, one M at a time.
+    """
+    if not 0 <= h <= k:
+        return ()
+    grids = _GRIDS
+    key = (tower, k, h)
+    grid = grids.get(key)
+    if grid is not None:
+        return grid
+    pairs = ((msub, flatten_subspace(msub))
+             for msub in enumerate_subspaces(tower, "E", k, h))
+    rows = h * tower.m * sum(
+        tower.order ** len(free_cells(pivots, k))
+        for pivots in itertools.combinations(range(k), h))
+    if rows > _GRID_ROW_BUDGET:
+        return pairs
+    held = sum(len(kept) * d * t.m for (t, _, d), kept in grids.items())
+    if held + rows > _GRID_ROW_BUDGET:
+        grids.clear()
+    grid = grids[key] = tuple(pairs)
+    if tower.q == 2:
+        for _, flat in grid:
+            flat.packed()
+    return grid
+
+
 def meet_dims(s: Subspace, h: int) -> Iterator[Tuple[Subspace, int]]:
     """(M, dim_F(S cap M)) for every h-dimensional E-subspace M of E^k, in
     ``subspace-enum/1`` order, for an F-subspace S of the flattened F^(km).
@@ -390,11 +438,12 @@ def meet_dims(s: Subspace, h: int) -> Iterator[Tuple[Subspace, int]]:
         wt(D) = dim_F(U) - dim_F(Bdd cap U)
 
     where Bdd, the transposed dual of B, runs over the (k-r)-dimensional
-    E-subspaces as B runs over the r-dimensional subspaces of E^k.
+    E-subspaces as B runs over the r-dimensional subspaces of E^k.  The
+    flattened M come from ``flat_grid``: kept within a row budget, or
+    streamed when the grid is larger.
     """
-    k = s.ambient // s.tower.m
-    for msub in enumerate_subspaces(s.tower, "E", k, h):
-        yield msub, flatten_subspace(msub).intersection_dim(s)
+    for msub, flat in flat_grid(s.tower, s.ambient // s.tower.m, h):
+        yield msub, flat.intersection_dim(s)
 
 
 def espan_of_flat(fsub: Subspace) -> Subspace:

@@ -36,6 +36,9 @@ class RankCode:
 
     def __init__(self, tower: FieldTower, n: int,
                  gen: Sequence[Sequence[int]]):
+        order = tower.order
+        if not all(0 <= v < order for row in gen for v in row):
+            raise ValueError(f"generator entries must lie in [0, {order})")
         self.space = Subspace.span(tower, "E", n, gen)
         if self.space.dim != len(gen):
             raise ValueError("generator rows are E-linearly dependent")

@@ -163,6 +163,18 @@ def test_custom_basis_coords():
         assert gf4.decode(gf4.encode(x)) == x
 
 
+@pytest.mark.parametrize("basis", [None, (1, 3, 7)], ids=["poly", "custom"])
+def test_from_coords_reads_only_coordinate_tuples(basis):
+    # m digits in [0, q) and nothing else: a fourth digit, a missing digit
+    # or a digit outside GF(2) names no element of GF(8)
+    tower = make_field(2, 3, basis=basis)
+    for coords in [(1, 0, 0, 1), (1, 0), (2, 0, 0), (0, -1, 0), ()]:
+        with pytest.raises(ValueError):
+            tower.from_coords(coords)
+    for x in range(8):
+        assert tower.from_coords(tower.to_coords(x)) == x
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(BadBasis):
         make_field(2, 2, basis=(1, 1))

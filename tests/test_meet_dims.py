@@ -10,10 +10,12 @@ import random
 
 import pytest
 
+from rankmin import linalg
 from rankmin.fields import make_field
 from rankmin.geometry import cutting_evasive_params, is_evasive
 from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
-                            espan_of_flat, flatten_subspace, subspaces_of)
+                            espan_of_flat, flat_grid, flatten_subspace,
+                            meet_dims, subspaces_of)
 from rankmin.minimality import (MinimalityVerdict, constant_weight_class,
                                 dual_criterion_applicable, is_r_minimal)
 from rankmin.rank_metric import (RankCode, chi, chi_code, column_support,
@@ -155,3 +157,97 @@ def test_meet_dims_agrees_with_the_oracle_loops_on_sampled_codes(name):
                 for _ in range(k)]
         gen = Subspace.span(tower, "E", n, rows).rows
         assert_matches_oracles(RankCode(tower, n, gen))
+
+
+# -- the kept grids ------------------------------------------------------------
+
+
+def oracle_meets(s, h):
+    tower = s.tower
+    return [(msub, flatten_subspace(msub).intersection_dim(s))
+            for msub in enumerate_subspaces(tower, "E", s.ambient // tower.m,
+                                            h)]
+
+
+def held_rows():
+    return sum(flat.dim for grid in linalg._GRIDS.values()
+               for _, flat in grid)
+
+
+def sweep(tower, k, s, h, t, cold):
+    """meet_dims(S, h) and is_evasive's answer, each from an empty memo
+    when ``cold``."""
+    if cold:
+        linalg._GRIDS.clear()
+    meets = list(meet_dims(s, h))
+    if cold:
+        linalg._GRIDS.clear()
+    return meets, is_evasive(tower, k, s, h, t)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED))
+def test_cold_warm_and_streamed_grids_give_the_same_sweep(name, monkeypatch):
+    tower, m = SAMPLED[name], SAMPLED[name].m
+    budget = linalg._GRID_ROW_BUDGET
+    rng = random.Random(f"flat-grid:{name}")
+    monkeypatch.setattr(linalg, "_GRIDS", {})
+    refuted = 0
+    for _ in range(6):
+        k = rng.randrange(1, 4)
+        s = Subspace.zero(tower, "F", k * m)
+        while espan_of_flat(s).dim < k:  # <S>_E = E^k, or nothing is swept
+            s = s.sum(Subspace.span(tower, "F", k * m, [
+                [rng.randrange(tower.q) for _ in range(k * m)]]))
+        for h in range(1, k + 1):
+            t = rng.randrange(h * m)
+            monkeypatch.setattr(linalg, "_GRID_ROW_BUDGET", budget)
+            cold = sweep(tower, k, s, h, t, cold=True)
+            warm = sweep(tower, k, s, h, t, cold=False)
+            monkeypatch.setattr(linalg, "_GRID_ROW_BUDGET", 0)
+            streamed = sweep(tower, k, s, h, t, cold=True)
+            assert cold == warm == streamed, (name, k, h, t)
+            assert cold == (oracle_meets(s, h),
+                            oracle_is_evasive(tower, k, s, h, t))
+            refuted += cold[1][1] is not None
+    assert refuted > 0
+
+
+def test_the_memo_never_holds_more_than_its_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "_GRIDS", {})
+    budget, swept = linalg._GRID_ROW_BUDGET, 0
+    for tower in [GF4, *SAMPLED.values()]:
+        for k in range(1, 4):
+            for h in range(k + 1):
+                grid = list(flat_grid(tower, k, h))
+                swept += sum(flat.dim for _, flat in grid)
+                assert held_rows() <= budget
+    assert swept > 2 * budget
+
+
+def test_a_grid_over_the_budget_streams_and_is_never_kept(monkeypatch):
+    monkeypatch.setattr(linalg, "_GRIDS", {})
+    kept = flat_grid(GF4, 2, 1)
+    assert isinstance(kept, tuple) and (GF4, 2, 1) in linalg._GRIDS
+    # qbinom(4, 4, 2) = 357 planes of 2 * 2 flattened rows each
+    big = flat_grid(GF4, 4, 2)
+    assert not isinstance(big, tuple)
+    assert sum(flat.dim for _, flat in big) == 357 * 4 > \
+        linalg._GRID_ROW_BUDGET
+    assert (GF4, 4, 2) not in linalg._GRIDS
+    assert flat_grid(GF4, 2, 1) is kept
+
+
+def test_a_grid_belongs_to_its_tower_basis_and_all(monkeypatch):
+    # the polynomial-basis and a custom-basis GF(8) are one field with two
+    # coordinate maps, so their flattened grids differ row by row
+    monkeypatch.setattr(linalg, "_GRIDS", {})
+    custom = SAMPLED["gf8-basis-1-3-7"]
+    plain = make_field(2, 3)
+    assert plain._definition[:5] == custom._definition[:5]
+    grids = {}
+    for tower in (plain, custom, plain):
+        grid = list(flat_grid(tower, 2, 1))
+        assert grid == [(msub, flatten_subspace(msub)) for msub in
+                        enumerate_subspaces(tower, "E", 2, 1)]
+        grids[tower] = [flat.rows for _, flat in grid]
+    assert grids[plain] != grids[custom]

@@ -129,8 +129,11 @@ def test_grw_examples():
 
 def test_grw_both_catches_lying_flatten(monkeypatch):
     # a flattening that drops one row makes the geometric route report
-    # d_1(C32) = 2; the brute route computes supports without flattening
+    # d_1(C32) = 2; the brute route computes supports without flattening.
+    # A fresh grid memo: a grid kept earlier would hide the patch, and the
+    # poisoned grid leaves with the fresh memo when the patch is undone
     real = linalg.flatten_subspace
+    monkeypatch.setattr(linalg, "_GRIDS", {})
 
     def lying_flatten(esub):
         flat = real(esub)
@@ -327,6 +330,15 @@ def test_rows_of_the_wrong_length_are_rejected():
     for code, gamma in [(C32, (1,)), (C32, (1, 0, 3)), (zero, (1, 2, 3))]:
         with pytest.raises(ValueError):
             code.codeword(gamma)
+
+
+def test_entries_outside_the_field_are_rejected():
+    # 5 is no element of GF(4), and -1 is no element either (it would be
+    # read as a list index from the end of the row kernel's tables)
+    for row in [(5, 0, 0), (-1, 0, 0), (1, 0, 4)]:
+        with pytest.raises(ValueError, match="generator entries"):
+            RankCode(GF4, 3, [row])
+    assert RankCode(GF4, 3, [(3, 0, 0)]).gen == ((1, 0, 0),)
 
 
 def test_support_containment_equivalence():

@@ -117,3 +117,21 @@ def test_only_fields_and_its_reexports_name_rref(path):
         or isinstance(node, ast.ImportFrom)
         and any(alias.name == "rref" for alias in node.names))
     assert lines == [], f"{path.name}: rref on lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"),
+    ids=lambda p: p.name)
+def test_sweeps_over_flattened_e_grids_read_the_grid(path):
+    # linalg keeps each small grid of flattened E-subspaces for the job
+    # (``flat_grid``), so a function elsewhere that enumerates E-subspaces
+    # and flattens them would redo that work on every call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        func.lineno for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"enumerate_subspaces", "flatten_subspace"} <= {
+            node.func.id for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)})
+    assert lines == [], f"{path.name}: functions on lines {lines} flatten " \
+        "an enumerated E-grid"
