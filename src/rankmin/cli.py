@@ -55,11 +55,17 @@ class UsageError(ValueError):
 
 def _read_json_arg(value: str) -> dict:
     if value == "-":
-        return json.load(sys.stdin)
-    if value.lstrip().startswith("{"):
-        return json.loads(value)
-    with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = sys.stdin.read()
+    elif value.lstrip().startswith("{"):
+        text = value
+    else:
+        with open(value, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _load_tower(spec: Optional[str], obj: Optional[dict] = None) -> FieldTower:

@@ -5,8 +5,8 @@ run on Fractions.  The q-binomial convention returns 0 when r > n.
 
 ``omega_bounds`` aggregates every applicable lower/upper rule for the
 minimal length of k-dimensional r-minimal codes; the generic lower bound
-searches sequences on the documented bounded grid (entries in [0, m],
-length up to (m-1)(k-r)) and reports which sequence achieved the max.
+takes the longest descent chain on the documented grid (entries in [0, m],
+length up to (m-1)(k-r)) from passes over its reachable prefix sums.
 """
 
 from __future__ import annotations
@@ -219,37 +219,44 @@ def evasive_bound_certifies(m: int, lam: int, a: int, u: int, k: int,
     # g_1..g_a along the descent chain, then the base condition at
     # (lam + sum g_i, 0, u + a)
     seq = _search_sequence(
-        a, m, lambda g, prefix, s: _step_condition(m, lam, u, g, prefix, s),
-        lambda total: _lemma_base_condition(m, lam + total, u + a, k))
+        [a], m, lambda g, prefix, s: _step_condition(m, lam, u, g, prefix, s),
+        lambda _, total: _lemma_base_condition(m, lam + total, u + a, k))
     if seq is not None:
         return EvasiveCertification(True, "descent-chain", seq)
     return EvasiveCertification(False, "none")
 
 
-def _search_sequence(length: int, m: int,
+def _search_sequence(lengths: Sequence[int], m: int,
                      step_ok: Callable[[int, int, int], bool],
-                     final_ok: Callable[[int], bool],
+                     final_ok: Callable[[int, int], bool],
                      ) -> Optional[Tuple[int, ...]]:
-    """The first sequence (g_1..g_length), entries in [0, m], in ascending
-    order, with step_ok(g, prefix, s) at every position s and final_ok(sum)
-    at the end; (position, prefix) pairs without a completion are memoized.
+    """For the first length, in the given order, that has one, the
+    lexicographically first (g_1..g_length), entries in [0, m], with
+    step_ok(g, prefix, s) at each position s and final_ok(length, sum).
+    The steps do not depend on the length: one forward pass collects the
+    prefix sums each position can reach, a backward pass keeps those that
+    still finish well, and the sequence takes the smallest g staying on one.
     """
-    dead = set()
-
-    def rec(s: int, prefix: int, chosen: List[int]):
-        if s == length:
-            return tuple(chosen) if final_ok(prefix) else None
-        if (s, prefix) in dead:
-            return None
-        for g in range(m + 1):
-            if step_ok(g, prefix, s):
-                out = rec(s + 1, prefix + g, chosen + [g])
-                if out is not None:
-                    return out
-        dead.add((s, prefix))
-        return None
-
-    return rec(0, 0, [])
+    reach = [{0}]
+    for s in range(max(lengths, default=0)):
+        reach.append({p + g for p in reach[s] for g in range(m + 1)
+                      if step_ok(g, p, s)})
+    for length in lengths:
+        keep = [None] * length + [
+            {p for p in reach[length] if final_ok(length, p)}]
+        if not keep[length]:
+            continue
+        for s in range(length - 1, 0, -1):
+            keep[s] = {p for p in reach[s] if any(
+                p + g in keep[s + 1] and step_ok(g, p, s)
+                for g in range(m + 1))}
+        seq = []
+        for s in range(length):
+            prefix = sum(seq)
+            seq.append(next(g for g in range(m + 1) if step_ok(g, prefix, s)
+                            and prefix + g in keep[s + 1]))
+        return tuple(seq)
+    return None
 
 
 def corollary_52_bound(m: int, k: int, lam: int, s: int) -> Optional[int]:
@@ -292,35 +299,30 @@ class OmegaBounds:
 
 def _generic_lower_search(m: int, k: int, r: int,
                           ) -> Tuple[int, Optional[dict]]:
-    """Best lower bound (m-1)r + k + w + 1 achievable from the descent
-    machinery, searching w and sequences (a_i) on the documented grid."""
+    """Best lower bound (m-1)r + k + w + 1 from the descent chains: the
+    largest w on the documented grid with a sequence (a_1..a_w) passing
+    the chain inequalities and the final quadratic condition for this k."""
     if r < 1:
         return 0, None
-    for w in range((m - 1) * (k - r), -1, -1):
-        seq = _search_omega_sequence(m, k, r, w)
-        if seq is not None:
-            return (m - 1) * r + k + w + 1, {"w": w, "sequence": list(seq)}
-    return 0, None
-
-
-def _search_omega_sequence(m: int, k: int, r: int, w: int,
-                           ) -> Optional[Tuple[int, ...]]:
-    """A sequence (a_1..a_w), entries in [0, m], satisfying the chain
-    inequalities and the final quadratic condition for this k."""
 
     def chain_ok(g: int, prefix: int, s: int) -> bool:
         lhs = g * g + (m * (r - 1) + 2 + prefix + s) * g
         rhs = (m - 1) * prefix + m - s
         return lhs >= rhs
 
-    def final_ok(total: int) -> bool:
+    def final_ok(w: int, total: int) -> bool:
         if k < r + 1 + total:
             return False
         lhs = k * k - (2 * r - m * (r - 1) + total - w) * k
         rhs = (total + r) * ((m - 1) * r + w) + 1
         return lhs >= rhs
 
-    return _search_sequence(w, m, chain_ok, final_ok)
+    seq = _search_sequence(range((m - 1) * (k - r), -1, -1), m, chain_ok,
+                           final_ok)
+    if seq is None:
+        return 0, None
+    w = len(seq)
+    return (m - 1) * r + k + w + 1, {"w": w, "sequence": list(seq)}
 
 
 def omega_bounds(m: int, k: int, r: int) -> OmegaBounds:
@@ -370,7 +372,7 @@ def omega_bounds(m: int, k: int, r: int) -> OmegaBounds:
     if m >= 2:
         if r == 1 and k >= isqrt(m) + 2:
             rule("sqrt-threshold", "lower", m + k)
-        c = _ceil_sqrt(m + 1)
+        c = isqrt(m) + 1  # the ceiling of sqrt(m + 1)
         if r == 1 and k * k - c * k >= c * m + 1:
             rule("sqrt-plus-one", "lower", m + k + 1)
         if r >= 2 and k >= r + 2:
@@ -397,11 +399,6 @@ def omega_bounds(m: int, k: int, r: int) -> OmegaBounds:
             raise CertificateError("exact rule outside rule interval")
         lower = upper = exact
     return OmegaBounds(m, k, r, lower, upper, rules, exact is not None)
-
-
-def _ceil_sqrt(n: int) -> int:
-    s = isqrt(n)
-    return s if s * s == n else s + 1
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,9 @@ class Subspace:
         order, dec = ((tower.order, tower.decode) if level_name == "E"
                       else (tower.q, int))
         rows = decode_rows(obj, "rref_basis", "ambient", order, dec)
-        return Subspace.span(tower, level_name, obj["ambient"], rows)
+        sub = Subspace.span(tower, level_name, obj["ambient"], rows)
+        check_stated_dim(obj, "dim", sub.dim)
+        return sub
 
 
 def decode_rows(obj: dict, rows_key: str, width_key: str, order: int,
@@ -269,6 +271,14 @@ def decode_rows(obj: dict, rows_key: str, width_key: str, order: int,
         raise ValueError(f"{rows_key!r} entries must be integers in "
                          f"[0, {order})")
     return [[dec(v) for v in row] for row in rows]
+
+
+def check_stated_dim(obj: dict, key: str, dim: int) -> None:
+    """A wire object's stated dimension, optional, must be the integer that
+    its rows load as (see docs/json-schemas-v1.md); ValueError otherwise."""
+    if key in obj and (type(obj[key]) is not int or obj[key] != dim):
+        raise ValueError(f"{key!r} must be {dim}, the dimension the rows "
+                         f"load as, not {obj[key]!r}")
 
 
 # ---------------------------------------------------------------------------

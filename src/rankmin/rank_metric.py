@@ -19,6 +19,7 @@ from .linalg import (
     AmbientMismatch,
     CertificateError,
     Subspace,
+    check_stated_dim,
     decode_rows,
     enumerate_subspaces,
     flatten_subspace,
@@ -91,7 +92,9 @@ class RankCode:
     @staticmethod
     def from_json(tower: FieldTower, obj: dict) -> "RankCode":
         rows = decode_rows(obj, "rows", "n", tower.order, tower.decode)
-        return RankCode(tower, obj["n"], rows)
+        code = RankCode(tower, obj["n"], rows)
+        check_stated_dim(obj, "k", code.k)
+        return code
 
 
 # ---------------------------------------------------------------------------

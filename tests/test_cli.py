@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -443,6 +444,7 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
 # k < 1 is blamed on k, not on an r that no k < 1 admits
 BAD_K_ARGV = ["omega", "--field", "p=2,e=1,m=3", "--k", "-1", "--r", "0",
               "--scan-dim", "0"]
+DEEP_JSON = '{"a": ' + "[" * 20000 + "]" * 20000 + "}"
 # a directory where a file is read or written
 A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
 
@@ -527,6 +529,21 @@ A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
     ["grw", "--code", json.dumps({"field": GF4, "n": True, "k": 1,
                                   "rows": [[1]]}), "--json"],
     _wt({"n": 2, "rows": [[True, False]]}),
+    # JSON nested deeper than the decoder's stack
+    ["wt", "--field", "p=2,m=2", "--code", DEEP_JSON],
+    # a stated size must be the integer dimension that loads
+    ["wt", "--code", json.dumps({"field": GF4, "n": 3, "k": 7,
+                                 "rows": [[1, 0, 2]]}), "--json"],
+    _wt({"n": 3, "k": True, "rows": [[1, 0, 2]]}),
+    ["cutting", "--subspace", json.dumps({
+        "field": "p=2,m=2", "level": "F", "ambient": 4, "dim": 9,
+        "rref_basis": [[1, 0, 0, 0], [1, 0, 0, 0]]}), "--r", "0"],
+    _cutting(dict(F_SUB, dim="1")),
+    # r-minimal without --m
+    ["count", "--q", "2", "--n", "3", "--r", "1", "--kind", "r-minimal"],
+    ["count", "--q", "2", "--m", "2", "--n", "1", "--r", "1"],  # n < r + 1
+    ["bounds", "--m", "0", "--k", "2", "--r", "1"],
+    ["omega", "--field", "p=2,m=2", "--k", "2", "--r", "2"],  # k < r + 1
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -534,6 +551,36 @@ def test_malformed_wire_json_exits_2(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
     if argv is BAD_K_ARGV:
         assert "k=-1" in err
+
+
+def test_deep_json_from_a_file_or_stdin_exits_2(capsys, monkeypatch,
+                                               tmp_path):
+    # the inline, file and stdin inputs share one decode
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
+    for value in (str(path), "-"):
+        code, _, err = run(capsys, "wt", "--field", "p=2,m=2", "--code",
+                           value)
+        assert code == 2 and err == "error: JSON input is nested too deeply\n"
+
+
+def test_stated_sizes_are_optional(capsys):
+    # a code without k and a subspace without dim load as before (stated
+    # sizes that match load throughout this file)
+    code, out, _ = run(capsys, *_wt({"n": 3, "rows": [[1, 0, 2]]}), "--json")
+    assert code == 0 and json.loads(out)["code"]["k"] == 1
+    code, out, _ = run(capsys, *_cutting(F_SUB), "--json")
+    assert code == 0 and json.loads(out)["verdict"] is False
+
+
+def test_bounds_on_a_long_descent_chain(capsys):
+    # w runs to 999, past the depth a recursive search could reach
+    code, out, _ = run(capsys, "bounds", "--m", "2", "--k", "1000", "--r",
+                       "1", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["lower"] == obj["upper"] == 1999
 
 
 def test_omega_sharded_scan_mode(capsys):

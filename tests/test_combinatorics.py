@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankmin import combinatorics
 from rankmin.combinatorics import (
     EvasiveCertification,
     corollary_52_bound,
@@ -210,6 +211,91 @@ def test_evasive_certification_base_and_descent_routes():
         EvasiveCertification(True, "descent-chain", (4,))
     assert evasive_bound_certifies(5, 1, 1, 0, 8) == \
         EvasiveCertification(False, "none")
+
+
+def _recursive_search_sequence(length, m, step_ok, final_ok):
+    # the oracle, a depth-first search: the first sequence in ascending
+    # order, with dead (position, prefix) pairs memoized
+    dead = set()
+
+    def rec(s, prefix, chosen):
+        if s == length:
+            return tuple(chosen) if final_ok(prefix) else None
+        if (s, prefix) in dead:
+            return None
+        for g in range(m + 1):
+            if step_ok(g, prefix, s):
+                out = rec(s + 1, prefix + g, chosen + [g])
+                if out is not None:
+                    return out
+        dead.add((s, prefix))
+        return None
+
+    return rec(0, 0, [])
+
+
+def _recursive_search_omega_sequence(m, k, r, w):
+    def chain_ok(g, prefix, s):
+        lhs = g * g + (m * (r - 1) + 2 + prefix + s) * g
+        rhs = (m - 1) * prefix + m - s
+        return lhs >= rhs
+
+    def final_ok(total):
+        if k < r + 1 + total:
+            return False
+        lhs = k * k - (2 * r - m * (r - 1) + total - w) * k
+        rhs = (total + r) * ((m - 1) * r + w) + 1
+        return lhs >= rhs
+
+    return _recursive_search_sequence(w, m, chain_ok, final_ok)
+
+
+def _recursive_generic_lower_search(m, k, r):
+    # one search per w, from the largest down
+    if r < 1:
+        return 0, None
+    for w in range((m - 1) * (k - r), -1, -1):
+        seq = _recursive_search_omega_sequence(m, k, r, w)
+        if seq is not None:
+            return (m - 1) * r + k + w + 1, {"w": w, "sequence": list(seq)}
+    return 0, None
+
+
+def _recursive_search_one_length(lengths, m, step_ok, final_ok):
+    (length,) = lengths  # evasive_bound_certifies asks for one length
+    return _recursive_search_sequence(length, m, step_ok,
+                                      lambda total: final_ok(length, total))
+
+
+def test_descent_chains_match_the_recursive_search(monkeypatch):
+    # every rule, w and sequence of omega_bounds and every evasive
+    # certification equal the depth-first search's on the same grid
+    triples = [(m, k, r) for m in range(1, 7) for k in range(1, 11)
+               for r in range(k)]
+    evasive = list(itertools.product(range(7), range(6), range(6), range(6),
+                                     range(9)))
+    got = ([omega_bounds(*t).to_json() for t in triples],
+           [evasive_bound_certifies(*t) for t in evasive])
+    monkeypatch.setattr(combinatorics, "_generic_lower_search",
+                        _recursive_generic_lower_search)
+    monkeypatch.setattr(combinatorics, "_search_sequence",
+                        _recursive_search_one_length)
+    want = ([omega_bounds(*t).to_json() for t in triples],
+            [evasive_bound_certifies(*t) for t in evasive])
+    assert len(triples) == 330
+    assert any(rule.get("w") for b in want[0] for rule in b["rules"])
+    assert any(c.rule == "descent-chain" for c in want[1])
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+def test_long_descent_chains_need_no_deep_stack():
+    # w runs to (m-1)(k-r) = 999 here; one frame per position overran
+    # Python's stack
+    b = omega_bounds(2, 1000, 1)
+    assert (b.lower, b.upper) == (1999, 1999)
+    rule = next(rule for rule in b.rules if rule["rule"] == "descent-search")
+    assert (rule["value"], rule["w"]) == (1999, 997)
 
 
 def test_small_m_rule_in_closed_form():

@@ -159,3 +159,40 @@ def test_no_unused_parameters(path):
         unused += [(func.lineno, func.name, arg.arg) for arg in params
                    if arg.arg not in read]
     assert unused == [], f"{path.name}: unused parameters {sorted(unused)}"
+
+
+# recursion whose depth the input's shape bounds: one frame per RREF row
+# (the GF(2) line kernel's ``node``), or one extra frame that fans ``"all"``
+# or ``"both"`` out to the single routes
+BOUNDED_RECURSION = {"search._line_survivors.node", "geometry.is_cutting",
+                     "rank_metric.grw"}
+
+
+def _functions(node, prefix):
+    """(qualified name, def) for every function under node, nested ones
+    included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unbounded_recursion(path):
+    # a function that calls itself by name, nested functions included, takes
+    # a frame per step of its input and ends in a RecursionError near
+    # Python's 1,000-frame limit; a chain or a search walks in a loop instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    recursive = {name for name, func in _functions(tree, path.stem)
+                 if any(isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == func.name
+                        for node in ast.walk(func))}
+    allowed = {name for name in BOUNDED_RECURSION
+               if name.startswith(path.stem + ".")}
+    assert sorted(recursive - allowed) == [], f"{path.name}: recursion"
+    assert sorted(allowed - recursive) == [], f"{path.name}: stale allowance"
