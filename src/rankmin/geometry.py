@@ -89,9 +89,10 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
 
     Routes: ``definition`` checks <S cap V>_E = V over the (k-r)-dimensional
     E-subspaces V; ``prop21`` checks (S+W) cap I != 0 over pairs of
-    (k-r-1)- and 1-dimensional E-subspaces; ``evasive`` (default) checks
-    (k-r-1, dim_F(S)-mr-1)-evasiveness; ``all`` runs the three and insists
-    they agree.
+    (k-r-1)- and 1-dimensional E-subspaces, skipping a W with
+    dim_F(S+W) > (k-1)m, which meets every E-line; ``evasive`` (default)
+    checks (k-r-1, dim_F(S)-mr-1)-evasiveness; ``all`` runs the three and
+    insists they agree.
     """
     h, t = cutting_evasive_params(tower.m, k, r, s.dim)
     if s.level_name != "F" or s.ambient != k * tower.m:
@@ -114,6 +115,8 @@ def is_cutting(tower: FieldTower, k: int, s: Subspace, r: int,
         lines = tuple(flat_grid(tower, k, 1))
         for _, wflat in flat_grid(tower, k, k - r - 1):
             sw = s.sum(wflat)
+            if sw.dim > (k - 1) * tower.m:
+                continue  # meets every E-line, whose dim_F is m (Grassmann)
             for isub, flat in lines:
                 if sw.intersection_dim(flat) == 0:
                     return CuttingVerdict(False, route, isub)
@@ -175,8 +178,11 @@ def _first_avoiding(tower: FieldTower, k: int,
 
 
 def _e_line(tower: FieldTower, z: Sequence[int]) -> Subspace:
-    """The E-line <z>_E, flattened."""
-    return flatten_subspace(Subspace.span(tower, "E", len(z), [z]))
+    """The E-line <z>_E of a nonzero z, flattened.  Its RREF row is z
+    scaled by the inverse of its first nonzero entry, the pivot."""
+    p = next(i for i, c in enumerate(z) if c)
+    row = tuple(_row_kernel(tower.E)[0](tower.E.inv(z[p]), z))
+    return flatten_subspace(Subspace(tower, "E", len(z), (row,), (p,)))
 
 
 def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],

@@ -171,10 +171,11 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     """d_r(C): the minimum support weight over r-dimensional subcodes.
 
     ``geometric`` minimizes dim_F(U) - dim_F(M cap U) over the
-    (k-r)-dimensional E-subspaces M of E^[k] (``meet_dims``); ``brute``
-    minimizes the direct support dimension of every r-dimensional subcode
-    (``subcode_support``), without the dual-intersection formula; ``both``
-    cross-checks the two routes.
+    (k-r)-dimensional E-subspaces M of E^[k] (``meet_dims``), and stops at
+    the first meet that reaches min(dim_F(U) - r, (k-r)m), which no meet
+    can pass; ``brute`` minimizes the direct support dimension of every
+    r-dimensional subcode (``subcode_support``), without the
+    dual-intersection formula; ``both`` cross-checks the two routes.
     """
     if not 0 <= r <= code.k:
         raise ValueError(f"r={r} outside 0..{code.k}")
@@ -192,7 +193,15 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     if method != "geometric":
         raise ValueError(f"unknown grw method {method!r}")
     u = column_support(code)
-    return u.dim - max(meet for _, meet in meet_dims(u, code.k - r))
+    # no meet passes dim U - r (an r-dim subcode D has weight >= r: the
+    # support code of chi(D) contains D and has E-dim dim_F chi(D)) or
+    # dim_F M = (k-r)m, so the sweep stops at the first meet reaching either
+    cap, best = min(u.dim - r, (code.k - r) * code.tower.m), 0
+    for _, meet in meet_dims(u, code.k - r):
+        best = max(best, meet)
+        if best >= cap:
+            break
+    return u.dim - best
 
 
 def grw_sequence(code: RankCode) -> List[int]:

@@ -257,6 +257,64 @@ EVASIVE_MAX_PINNED = [
 ]
 
 
+# the benchmark's verify-mix argvs: every suite at 60 trials, suite seed 0;
+# pinned before grw and the prop21 cutting route stopped their sweeps at a
+# dimension bound, and each exits 0
+VERIFY_MIX_PINNED = {
+    "cor21":
+        "185a797fb842bb5f9df14c1d06dd587fba53e30cd2ccaad416a34307c564d551",
+    "cor31-singleton":
+        "8229f689179b4ce9007b3b122b797b5220586a10d78103d5a97e9781c2426444",
+    "cor32":
+        "e4d3978f79027a6250c61e81e57e03d346447d5522a5d57d8347b0bcd88e16d8",
+    "cor33":
+        "5abc64403940a06d79390ec75f32412e79997fdf37a2d141a48f9292979dea0e",
+    "cor42":
+        "9632c8823e86ca7009683c67c264307a4733d722635d5d3a117df39c01918ae9",
+    "counting":
+        "d3a218b8aff9128f6633123cd6a3a44812f3e819a775f4e4362fdad765bd99c6",
+    "criteria-agreement":
+        "4a976dc5b738a601d7c67fd7ccea7d16e94edc4272fb2df54ab52ad8be5ce330",
+    "cutting-threeway":
+        "65a1733985ede948d5b467562621c246eda4b94736796f470b3b6e4f4676c593",
+    "empty":
+        "f7c8c55ff62825a4368e2f04b962fca194f083da6f7e604207ff0fd76dad31bd",
+    "expand-linear":
+        "b1e2a32b7e426bbba44698edeaca59e1a89c287ee341c4e1af8424d319143d30",
+    "field-axioms":
+        "459ba4472e3241a8d71f874e97cb147f3efa273647696f8f55a7844fb80d22c2",
+    "grw-monotone":
+        "d0f735e90f1472956abac5eecc8da01cb524f0e7e6e43e12945544290d404b7d",
+    "lemma21":
+        "d19dc0328485d7bd34b5fd5af7de6e603e70be5a958e7da70a4181ca82efd496",
+    "lemma22":
+        "23d6cca59a45e66b37908992f4f469ad1c4c6e3f4f959f17dd2b51088a337a22",
+    "lemma23":
+        "5fd7f44fc80b82949286278726507028c682d84e24381720b9b150b030a100ff",
+    "maximality":
+        "39572bde7d32f862341a22a56a816009f05a38ec4a22add4442c72b360a2d191",
+    "prop31":
+        "0886346e75a27abe1fb126d862d44507934a641d4fb9c336614ae92245f2fe92",
+    "prop42":
+        "a78013cf655029f97d929d3c3723aa87cb327213be37460c491f4a04421937ba",
+    "rank-support-basics":
+        "837038b03a46792e24aac495ac07c9ea2b536db96bf404cf70a728742bb0883e",
+    "thm32-eight-conditions":
+        "d7f4ce3df234553ef4c6d5e3d2af1d58ec18a59addde878cff8c01cff2679c8d",
+    "thm41-max-weight":
+        "7a7d8c6929e91e92456e7dce62e454addc656fd5ded675a50aed366d24e18a21",
+    "thm46-constant-weight":
+        "777896222e7cc24d8d38781ecd7534c9fbe4f7b38a661bcf9ced32f9672241a8",
+    "weierstrass":
+        "287d1c938d1d2bd05d06891bb60cc4215798d5380ebed12f46fd079b32cd0d88",
+}
+
+
+def _verify_mix(name):
+    return ["verify", "--suite", name, "--trials", "60", "--seed", "0",
+            "--strict", "--json"]
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -280,6 +338,7 @@ def _id(argv):
 def test_every_argv_pinned():
     assert len(PINNED) == len(ARGVS)
     assert len(EVASIVE_MAX_PINNED) == len(EVASIVE_MAX_ARGVS)
+    assert sorted(VERIFY_MIX_PINNED) == sorted(suite_names())
 
 
 @pytest.mark.parametrize(
@@ -289,3 +348,9 @@ def test_every_argv_pinned():
 def test_contract(argv, pinned, tmp_path, capsys):
     assert contract_result(argv, str(tmp_path / "cert.json"), capsys) \
         == pinned
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_MIX_PINNED))
+def test_verify_mix_contract(name, tmp_path, capsys):
+    assert contract_result(_verify_mix(name), str(tmp_path / "cert.json"),
+                           capsys) == (VERIFY_MIX_PINNED[name], None, 0)

@@ -22,6 +22,8 @@ from rankmin.linalg import (
 
 GF4 = make_field(2, 2, ext_poly=(1, 1, 1))
 GF8 = make_field(2, 3, ext_poly=(1, 1, 0, 1))
+GF9 = make_field(3, 2)
+GF16_4 = make_field(2, 2, e=2)
 W = 2
 
 
@@ -149,11 +151,61 @@ def test_prop21_keeps_verdict_and_refuting_line():
     rng = random.Random(149)
     cases += [(GF8, 3, random_fsub(GF8, 3, rng.randrange(10), rng))
               for _ in range(12)]
+    cases += [(GF9, 2, s) for d in range(5)
+              for s in enumerate_subspaces(GF9, "F", 4, d)]
+    cases += [(GF9, 3, random_fsub(GF9, 3, rng.randrange(7), rng))
+              for _ in range(8)]
+    cases += [(GF16_4, 2, random_fsub(GF16_4, 2, rng.randrange(5), rng))
+              for _ in range(12)]
     for tower, k, s in cases:
         for r in range(k):
             got = is_cutting(tower, k, s, r, route="prop21")
             assert (got.verdict, got.refuting) == \
                 _prop21_reflattening(tower, k, s, r)
+
+
+@pytest.mark.parametrize("tower,k", [(GF4, 2), (GF4, 3), (GF9, 2)])
+def test_wide_subspace_meets_every_e_line(tower, k):
+    """Grassmann: dim_F(A) > (k-1)m and dim_F(L) = m force A cap L != 0,
+    the lemma behind the prop21 route's skip."""
+    n = k * tower.m
+    lines = [flatten_subspace(ln)
+             for ln in enumerate_subspaces(tower, "E", k, 1)]
+    for d in range((k - 1) * tower.m + 1, n + 1):
+        for a in enumerate_subspaces(tower, "F", n, d):
+            assert all(a.intersection_dim(ln) > 0 for ln in lines)
+
+
+def test_prop21_reads_lines_only_at_a_narrow_sum(monkeypatch):
+    """A W with dim_F(S+W) > (k-1)m makes no intersection_dim call.  A
+    narrower S+W has fewer nonzero vectors than E^[k] has E-lines, so the
+    first one refutes: a cutting S reads no line, any other reads the lines
+    up to its refuting one."""
+    rng = random.Random(151)
+    cases = [(GF4, 3, random_fsub(GF4, 3, 5, rng), 1),
+             (GF4, 3, fspan(GF4, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                     (W, 0, 0)]), 1),
+             (GF4, 3, random_fsub(GF4, 3, 4, rng), 0),
+             (GF9, 2, random_fsub(GF9, 2, 3, rng), 1),
+             (GF9, 2, random_fsub(GF9, 2, 2, rng), 0)]
+    calls = []
+    real = Subspace.intersection_dim
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    verdicts = set()
+    for tower, k, s, r in cases:
+        lines = list(enumerate_subspaces(tower, "E", k, 1))
+        calls.clear()
+        monkeypatch.setattr(Subspace, "intersection_dim", counting)
+        got = is_cutting(tower, k, s, r, route="prop21")
+        monkeypatch.undo()
+        verdicts.add(got.verdict)
+        assert len(calls) == (0 if got.verdict
+                              else lines.index(got.refuting) + 1)
+    assert verdicts == {False, True}
 
 
 def test_cutting_refutation_recheckable():
@@ -326,6 +378,21 @@ def test_first_avoiding_tests_one_vector_per_line(tower):
                         _first_avoiding(tower, k, meets)
                 else:
                     assert _first_avoiding(tower, k, meets) == want
+
+
+@pytest.mark.parametrize("tower,ks", [
+    (GF4, (1, 2, 3)), (GF8, (1, 2, 3)), (GF9, (1, 2, 3)), (GF16_4, (1, 2)),
+    (make_field(2, 3, basis=[1, 3, 7]), (1, 2)),
+])
+def test_e_line_is_the_flattened_span_of_z(tower, ks):
+    """The directly built RREF row gives the line Subspace.span gives."""
+    for k in ks:
+        for enc in range(1, tower.order**k):
+            z = int_to_digits(enc, tower.order, k)
+            want = flatten_subspace(Subspace.span(tower, "E", k, [z]))
+            got = _e_line(tower, z)
+            assert (got, got.rows, got.pivots) \
+                == (want, want.rows, want.pivots)
 
 
 def test_avoid_set_prop41():

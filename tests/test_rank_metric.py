@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rankmin import linalg, rank_metric
+from rankmin.combinatorics import qbinom
 from rankmin.fields import make_field
 from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
                             f_rational_part)
@@ -154,6 +155,62 @@ def test_grw_routes_agree_random():
                                rng.randrange(1, 3), rng)
             for r in range(code.k + 1):
                 assert grw(code, r, method="both") >= 0
+
+
+def _grw_full_sweep(code, r):
+    """d_r(C) as dim U - max(meets) over every M: no early exit."""
+    u = column_support(code)
+    return u.dim - max(meet for _, meet in linalg.meet_dims(u, code.k - r))
+
+
+def _identity_code(tower, n):
+    """E^n, whose column span F^n stops grw at its floor dim U - r."""
+    return RankCode(tower, n, [tuple(int(i == j) for j in range(n))
+                               for i in range(n)])
+
+
+# U = F^(km): every E-subspace M lies in U, so grw stops at its ceiling
+CEILING = RankCode(GF4, 4, [(1, W, 0, 0), (0, 0, 1, W)])
+
+
+@pytest.mark.parametrize("tower", [
+    GF4, GF8,
+    make_field(3, 2),                         # GF(9), odd p
+    make_field(2, 2, e=2),                    # GF(16)/GF(4)
+    make_field(2, 3, basis=[1, 3, 7]),        # custom basis
+])
+def test_grw_early_exit_matches_full_sweep_and_brute(tower):
+    rng = random.Random(211)
+    codes = [_identity_code(tower, n) for n in (1, 2, 3)]
+    codes += [random_code(tower, rng.randrange(2, 5), rng.randrange(1, 4),
+                          rng) for _ in range(8)]
+    if tower is GF4:
+        codes.append(CEILING)
+    for code in codes:
+        for r in range(1, code.k + 1):
+            assert grw(code, r) == _grw_full_sweep(code, r) \
+                == grw(code, r, method="brute")
+
+
+def test_grw_stops_at_floor_and_ceiling(monkeypatch):
+    read = []
+    real = rank_metric.meet_dims
+
+    def counting(s, h):
+        for msub, meet in real(s, h):
+            read.append(msub)
+            yield msub, meet
+
+    monkeypatch.setattr(rank_metric, "meet_dims", counting)
+    gf9 = make_field(3, 2)
+    # E^4: the first plane meets F^4 in dim U - r = 2, of qbinom(9, 4, 2)
+    assert grw(_identity_code(gf9, 4), 2) == 2
+    assert len(read) == 1 and qbinom(9, 4, 2) == 7462
+    read.clear()
+    # the first line meets F^4 in (k-r)m = 2; the floor dim U - r = 3 is
+    # never reached, so it alone would read all qbinom(4, 2, 1) = 5 lines
+    assert grw(CEILING, 1) == 2
+    assert len(read) == 1 and _grw_full_sweep(CEILING, 1) == 2
 
 
 def test_grw_strictly_monotone():
