@@ -7,7 +7,6 @@ from .combinatorics import (
     count_r_minimal,
     evasive_bound_certifies,
     omega_bounds,
-    psi_bounds,
     qbinom,
     qdelta,
     weierstrass_checks,
@@ -23,7 +22,6 @@ from .geometry import (
     CuttingVerdict,
     PreconditionViolated,
     avoid_complement,
-    avoid_set,
     is_cutting,
     is_evasive,
     linearity_index,
@@ -74,14 +72,14 @@ __all__ = [
     "CertificateError", "CountReport", "CuttingVerdict", "FieldTower",
     "MethodInapplicable", "MinimalityVerdict", "NonIrreducible",
     "OmegaBounds", "PreconditionViolated", "RankCode", "Subspace",
-    "SuiteReport", "UnknownSuite", "avoid_complement", "avoid_set",
-    "census_codes", "chi", "chi_code", "column_support",
-    "constant_weight_class", "count_r_minimal", "drop_weight_subcode",
-    "enumerate_subspaces", "evasive_bound_certifies", "flatten_subspace",
-    "grw", "grw_sequence", "is_cutting", "is_evasive", "is_r_minimal",
-    "is_rank_minimal", "is_sigma_maximal", "linearity_index", "make_field",
-    "max_evasive_dim", "max_subcode_weight", "omega_bounds",
-    "omega_exhaustive", "parse_field_spec", "psi_bounds", "qbinom",
-    "qdelta", "rank_support", "rref", "run_suite", "subcode_weight",
-    "suite_names", "support_code", "weierstrass_checks", "weight",
+    "SuiteReport", "UnknownSuite", "avoid_complement", "census_codes",
+    "chi", "chi_code", "column_support", "constant_weight_class",
+    "count_r_minimal", "drop_weight_subcode", "enumerate_subspaces",
+    "evasive_bound_certifies", "flatten_subspace", "grw", "grw_sequence",
+    "is_cutting", "is_evasive", "is_r_minimal", "is_rank_minimal",
+    "is_sigma_maximal", "linearity_index", "make_field", "max_evasive_dim",
+    "max_subcode_weight", "omega_bounds", "omega_exhaustive",
+    "parse_field_spec", "qbinom", "qdelta", "rank_support", "rref",
+    "run_suite", "subcode_weight", "suite_names", "support_code",
+    "weierstrass_checks", "weight",
 ]

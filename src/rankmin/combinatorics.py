@@ -116,62 +116,6 @@ def count_r_minimal(q: int, m: int, n: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# psi bounds (counts of non-r-minimal codes).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PsiBounds:
-    bound_dimension_step: int      # psi(k,r) <= psi(t,r) * bin(n-t, k-t)
-    existence_condition: bool      # psi(t,r) < the product forcing existence
-    existence_rhs: Fraction
-    weight_census_bound: Optional[Fraction] = None  # for t = r+1 only
-
-
-def psi_step_bound(big_q: int, n: int, k: int, r: int, t: int,
-                   psi_t: int) -> int:
-    """psi(k, r) <= psi(t, r) * bin(n-t, k-t), all at the code field size."""
-    if not r + 1 <= t <= k <= n:
-        raise ValueError("need r+1 <= t <= k <= n")
-    return psi_t * qbinom(big_q, n - t, k - t)
-
-
-def psi_existence_rhs(big_q: int, n: int, k: int, t: int) -> Fraction:
-    """The product whose excess over psi(t,r) forces a (sigma,r)-minimal
-    k-dimensional code to exist (a rational in general; equal to the full
-    subspace count when t = k)."""
-    out = Fraction(1)
-    for i in range(k - t + 1, k + 1):
-        out *= Fraction(big_q ** (i + n - k) - 1, big_q**i - 1)
-    return out
-
-
-def psi_weight_census_bound(big_q: int, r: int,
-                            weight_counts: Dict[int, int]) -> Fraction:
-    """psi(r+1, r) <= sum_s N_s (Q^(s-r) - 1) / (Q - 1), N_s the number of
-    r-dimensional codes of the ambient space with support weight s."""
-    total = 0
-    for s, count in weight_counts.items():
-        if s >= r + 1:
-            total += count * (big_q ** (s - r) - 1)
-    return Fraction(total, big_q - 1)
-
-
-def psi_bounds(q: int, m: int, n: int, k: int, r: int, t: int, psi_t: int,
-               weight_counts: Optional[Dict[int, int]] = None) -> PsiBounds:
-    """Evaluate the dimension-step bound and the existence condition at the
-    code field size q^m; optionally also the census-based bound on
-    psi(r+1, r) from supplied weight counts."""
-    big_q = q**m
-    bound = psi_step_bound(big_q, n, k, r, t, psi_t)
-    rhs = psi_existence_rhs(big_q, n, k, t)
-    census = None
-    if weight_counts is not None:
-        census = psi_weight_census_bound(big_q, r, weight_counts)
-    return PsiBounds(bound, psi_t < rhs, rhs, census)
-
-
-# ---------------------------------------------------------------------------
 # Evasive-dimension certification machinery.
 # ---------------------------------------------------------------------------
 

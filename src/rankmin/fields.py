@@ -19,13 +19,14 @@ log/antilog tables whenever the field order is at most 2^16 and falls
 back to schoolbook polynomial arithmetic above that.
 
 Each engine owns its row kernel (``_row_kernel``), built on first use:
-XOR plus a cached multiplication-table row per scalar when p = 2, one
-residue mod p over GF(p), and a multiplication row plus a subtraction
-table for the other levels of order at most 256; larger levels call the
-engine's mul and sub.  It is the only place that reads an engine's add,
-sub or mul: ``rref``, the package's one Gauss-Jordan elimination, and
-``mat_vec`` run on it, and so do the tower's own polynomial products and
-remainders, basis inversion and custom-basis coordinates.
+XOR over GF(2); for the other levels of order at most 256, GF(p)
+included, a cached multiplication-table row per scalar, with XOR to
+subtract when p = 2 and a subtraction table when p is odd; larger levels
+call the engine's mul and sub.  It is the only place that reads an
+engine's add, sub or mul: ``rref``, the package's one Gauss-Jordan
+elimination, and ``mat_vec`` run on it, and so do the tower's own
+polynomial products and remainders, basis inversion and custom-basis
+coordinates.
 """
 
 from __future__ import annotations
@@ -229,9 +230,6 @@ def _build_row_kernel(level: Field) -> Tuple[RowOp, RowOp]:
         return (lambda f, row: [f & v for v in row],
                 lambda g, a, b: ([v ^ w for v, w in zip(a, b)] if g
                                  else list(a)))
-    if order == p:
-        return (lambda f, row: [f * v % p for v in row],
-                lambda g, a, b: [(v - g * w) % p for v, w in zip(a, b)])
     if order > _KERNEL_TABLE_LIMIT:
         return (lambda f, row: [mul(f, v) for v in row],
                 lambda g, a, b: [sub(v, mul(g, w)) for v, w in zip(a, b)])

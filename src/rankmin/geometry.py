@@ -155,12 +155,6 @@ def linearity_index(tower: FieldTower, k: int, a: Subspace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stabilizer_count(tower: FieldTower, hset: frozenset) -> int:
-    scale = _row_kernel(tower.E)[0]
-    return sum(frozenset(tuple(scale(a, v)) for v in hset) == hset
-               for a in range(1, tower.order))
-
-
 def _first_avoiding(tower: FieldTower, k: int,
                     meets: Callable[[Tuple[int, ...]], bool],
                     ) -> Tuple[int, ...]:
@@ -185,47 +179,13 @@ def _e_line(tower: FieldTower, z: Sequence[int]) -> Subspace:
     return flatten_subspace(Subspace(tower, "E", len(z), (row,), (p,)))
 
 
-def avoid_set(tower: FieldTower, k: int, hset: Sequence[Sequence[int]],
-              t: int) -> Subspace:
-    """An E-subspace L of E^[k] with dim_E(L) = t and H cap L = {0}.
-
-    H is an arbitrary subset containing 0; greedy choice of the smallest
-    encoded vector outside every nonzero multiple of H, repeated t times.
-    Requires |H| <= w (Q^(k+1-t)-1)/(Q-1) with Q = |E| and w the number of
-    scalars fixing H.
-    """
-    original = {tuple(v) for v in hset}
-    if (0,) * k not in original:
-        raise PreconditionViolated("H must contain 0")
-    big_q, (scale, axpy) = tower.order, _row_kernel(tower.E)
-    w = _stabilizer_count(tower, frozenset(original))
-    if len(original) > w * (big_q ** (k + 1 - t) - 1) // (big_q - 1):
-        raise PreconditionViolated("|H| exceeds the greedy bound")
-    cur = set(original)  # H + <lines>_E, as a set
-    lines: List[Tuple[int, ...]] = []
-    for _ in range(t):
-        # z avoids every aH, a != 0  <=>  no bz lies in H, b != 0
-        z = _first_avoiding(tower, k, lambda z: any(
-            tuple(scale(b, z)) in cur for b in range(1, big_q)))
-        lines.append(z)
-        # v - cz over every c in E is v + cz over every c in E
-        cur = {tuple(axpy(c, v, z)) for v in cur for c in range(big_q)}
-    out = Subspace.span(tower, "E", k, lines)
-    if out.dim != t:
-        raise CertificateError(f"avoiding span has dimension {out.dim} != {t}")
-    # postcondition: no nonzero element of the set lies in the span
-    if any(any(v) and out.contains_vector(v) for v in original):
-        raise CertificateError("avoiding span meets the set")
-    return out
-
-
 def avoid_complement(tower: FieldTower, k: int, h: Subspace,
                      t: int) -> Subspace:
     """An E-subspace V of E^[k] with dim_E(V) = k - t and H cap V = {0},
     for an F-subspace H (given flattened) with dim_F(H) <= mt.
 
     Greedy: each step adds the smallest encoded z whose E-line meets
-    H + V only at 0.  For a set of E^[k] vectors use ``avoid_set``.
+    H + V only at 0.
     """
     m = tower.m
     if h.level_name != "F" or h.ambient != k * m:

@@ -175,18 +175,13 @@ def grw(code: RankCode, r: int, method: str = "geometric") -> int:
     the first meet that reaches min(dim_F(U) - r, (k-r)m), which no meet
     can pass; ``brute`` minimizes the direct support dimension of every
     r-dimensional subcode (``subcode_support``), without the
-    dual-intersection formula; ``both`` cross-checks the two routes.
+    dual-intersection formula, and is the oracle the tests hold the
+    geometric route to.
     """
     if not 0 <= r <= code.k:
         raise ValueError(f"r={r} outside 0..{code.k}")
     if r == 0:
         return 0
-    if method == "both":
-        a = grw(code, r, "geometric")
-        b = grw(code, r, "brute")
-        if a != b:
-            raise CertificateError(f"grw routes disagree: {a} vs {b}")
-        return a
     if method == "brute":
         return min(subcode_support(code, b).dim
                    for b in subcode_spaces(code, r))

@@ -12,10 +12,6 @@ from rankmin.combinatorics import (
     evasive_bound_certifies,
     omega_bounds,
     product_tail_lower,
-    psi_bounds,
-    psi_existence_rhs,
-    psi_step_bound,
-    psi_weight_census_bound,
     qbinom,
     qdelta,
     rank_count_upper,
@@ -117,26 +113,6 @@ def test_count_r_minimal_needs_a_field(q, m, message):
     with pytest.raises(ValueError, match=message):
         count_r_minimal(q, m, 3, 1)
     assert qbinom(6, 3, 1) == 43 and qdelta(6, 2, 1) == 35
-
-
-def test_psi_bounds_example():
-    # 21 two-dim codes of GF(4)^3, 14 minimal, psi(2,1) = 7
-    rep = psi_bounds(2, 2, 3, 2, 1, 2, psi_t=7)
-    assert rep.bound_dimension_step == 7 * qbinom(4, 1, 0) == 7
-    assert rep.existence_rhs == qbinom(4, 3, 2) == 21
-    assert rep.existence_condition  # 7 < 21
-
-
-def test_psi_existence_rhs_fractional_case():
-    rhs = psi_existence_rhs(2, 3, 2, 1)
-    assert rhs == Fraction(7, 3)
-
-
-def test_psi_weight_census_bound():
-    # 1-dim codes of GF(4)^3 by weight: 7 of weight 1, 14 of weight 2
-    bound = psi_weight_census_bound(4, 1, {1: 7, 2: 14})
-    assert bound == Fraction(14 * 3, 3) == 14
-    assert bound >= 7  # the true psi(2,1)
 
 
 def test_omega_bounds_known_values():

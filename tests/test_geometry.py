@@ -8,7 +8,6 @@ from rankmin.geometry import (
     _e_line,
     _first_avoiding,
     avoid_complement,
-    avoid_set,
     is_cutting,
     is_evasive,
     linearity_index,
@@ -393,16 +392,3 @@ def test_e_line_is_the_flattened_span_of_z(tower, ks):
             got = _e_line(tower, z)
             assert (got, got.rows, got.pivots) \
                 == (want, want.rows, want.pivots)
-
-
-def test_avoid_set_prop41():
-    # H = nonzero multiples of (1,0) plus 0: a set, not an F-subspace
-    hset = [(0, 0), (1, 0), (W, 0), (3, 0)]
-    out = avoid_set(GF4, 2, hset, 1)
-    assert out.dim == 1
-    hset2 = [(0, 0), (1, 1), (W, 1)]
-    out2 = avoid_set(GF4, 2, hset2, 1)
-    assert out2.dim == 1
-    # t = k is impossible as soon as H has a nonzero vector
-    with pytest.raises(PreconditionViolated):
-        avoid_set(GF4, 2, [(0, 0), (1, 1)], 2)

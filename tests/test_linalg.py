@@ -392,8 +392,9 @@ def random_rows(rng, level, count, ncols):
 
 
 # (tower, level name): every level kind the kernel distinguishes -- GF(2),
-# GF(p), p = 2 and odd p tables, a table-driven F-level polynomial field,
-# and levels above the table limit (GF(3^6) and GF(2^9))
+# p = 2 and odd p tables (GF(3) and GF(5) among them), a table-driven
+# F-level polynomial field, and levels above the table limit (GF(257),
+# GF(3^6) and GF(2^9))
 KERNEL_LEVELS = {
     "GF2": (GF2, "F"),
     "GF3": (make_field(3, 1), "F"),
@@ -404,6 +405,7 @@ KERNEL_LEVELS = {
     "GF9-base": (make_field(3, 2, e=2), "F"),
     "GF16": (make_field(2, 4), "E"),
     "GF25": (make_field(5, 2), "E"),
+    "GF257": (make_field(257, 1), "F"),
     "GF27": (make_field(3, 3), "E"),
     "GF729": (make_field(3, 6), "E"),
     "GF512": (make_field(2, 9), "E"),

@@ -592,19 +592,11 @@ def test_witness_guard_survives_python_optimize():
         "refused: witness failed re-verification"
 
 
-def test_subcode_weight_census_feeds_psi_bound():
-    from fractions import Fraction
-
-    from rankmin.combinatorics import psi_bounds
-
-    # the weight distribution of all 1-dimensional codes of E^3
+def test_census_weight_distribution_of_lines():
+    # the 21 one-dimensional codes of E^3 over GF(4)/GF(2): the 7 spanned
+    # by an F-rational vector have weight 1, the other 14 weight 2
     counts = census_codes(GF4, 3, 1).counts["weight_distribution"]
     assert counts == {1: 7, 2: 14}
-    rep = psi_bounds(2, 2, 3, 2, 1, 2, psi_t=7, weight_counts=counts)
-    assert rep.weight_census_bound == Fraction(14)
-    # the census bound really dominates the exact count of non-minimal codes
-    census = census_codes(GF4, 3, 2, r=1)
-    assert census.counts["not_r_minimal"] <= rep.weight_census_bound
 
 
 def test_census_constant_weight_matches_full_weight():

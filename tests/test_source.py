@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -163,9 +164,8 @@ def test_no_unused_parameters(path):
 
 # recursion whose depth the input's shape bounds: one frame per RREF row
 # (the GF(2) line kernel's ``node``), or one extra frame that fans ``"all"``
-# or ``"both"`` out to the single routes
-BOUNDED_RECURSION = {"search._line_survivors.node", "geometry.is_cutting",
-                     "rank_metric.grw"}
+# out to the single routes
+BOUNDED_RECURSION = {"search._line_survivors.node", "geometry.is_cutting"}
 
 
 def _functions(node, prefix):
@@ -196,3 +196,32 @@ def test_no_unbounded_recursion(path):
                if name.startswith(path.stem + ".")}
     assert sorted(recursive - allowed) == [], f"{path.name}: recursion"
     assert sorted(allowed - recursive) == [], f"{path.name}: stale allowance"
+
+
+def _names(tree):
+    """Every name a tree reads or writes: bare names and attributes."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_caller():
+    # a top-level function or class without a leading ``_`` that nothing
+    # in the package names outside its own definition is API that only its
+    # own tests use; re-exporting it from ``__init__`` is no call
+    named, defined = collections.Counter(), {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named += _names(tree)
+        defined.update(
+            (node.name, (path.stem, node)) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_"))
+    uncalled = sorted(f"{module}.{name}"
+                      for name, (module, node) in defined.items()
+                      if named[name] == _names(node)[name])
+    assert uncalled == [], f"public names with no caller: {uncalled}"
