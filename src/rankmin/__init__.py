@@ -58,7 +58,6 @@ from .rank_metric import (
 )
 from .search import (
     BudgetExceeded,
-    Certificate,
     census_codes,
     max_evasive_dim,
     omega_exhaustive,
@@ -68,9 +67,9 @@ from .suites import SuiteReport, UnknownSuite, run_suite, suite_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientMismatch", "BadBasis", "BudgetExceeded", "Certificate",
-    "CertificateError", "CountReport", "CuttingVerdict", "FieldTower",
-    "MethodInapplicable", "MinimalityVerdict", "NonIrreducible",
+    "AmbientMismatch", "BadBasis", "BudgetExceeded", "CertificateError",
+    "CountReport", "CuttingVerdict", "FieldTower", "MethodInapplicable",
+    "MinimalityVerdict", "NonIrreducible",
     "OmegaBounds", "PreconditionViolated", "RankCode", "Subspace",
     "SuiteReport", "UnknownSuite", "avoid_complement", "census_codes",
     "chi", "chi_code", "column_support", "constant_weight_class",

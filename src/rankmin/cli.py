@@ -291,7 +291,7 @@ def _cmd_omega(args) -> int:
                                time_budget_s=args.time_budget)
     except BudgetExceeded as err:
         obj = {"error": "budget-exceeded", "bracket": [err.lower, err.upper],
-               "certificates": [c.to_json() for c in err.certificates]}
+               "certificates": err.certificates}
         _emit(args, obj, f"budget exceeded; bracket [{err.lower}, {err.upper}]")
         return EXIT_BUDGET
     obj = res.to_json()
@@ -309,8 +309,8 @@ def _cmd_census(args) -> int:
                            weight_of_interest=args.wt,
                            constant_weight_r=args.constant_weight,
                            budget=args.budget)
-    except BudgetExceeded as err:
-        _emit(args, {"error": "budget-exceeded"}, str(err))
+    except BudgetExceeded:
+        _emit(args, {"error": "budget-exceeded"}, "budget exceeded")
         return EXIT_BUDGET
     text = f"total {rep.counts['total']}"
     if "r_minimal" in rep.counts:

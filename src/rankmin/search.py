@@ -3,11 +3,12 @@ dimensions, code censuses and maximal evasive dimensions.
 
 Both dimension searches run one sweep of the d-dimensional F-subspaces of
 E^[k] for an (h,t)-evasive one.  A cutting r-blocking set is the case
-(k-r-1, d-mr-1), swept upward from the best rule-based lower bound; the
-maximal evasive dimension sweeps a fixed (h, t) downward from km.  A
-minimal length is certified by a witness at dimension d plus an exhaustion
-record at d-1, which always runs, so the value never rests on the
-closed-form bounds alone.
+(k-r-1, d-mr-1), swept upward from the rule lower bound to the rule upper
+bound; the maximal evasive dimension sweeps a fixed (h, t) downward from
+km.  A minimal length is certified by a witness at dimension d plus an
+exhaustion record at d-1, which always runs, so the value never rests on
+the closed-form bounds alone.  A sweep whose budget is spent returns None,
+and the search that ran it raises BudgetExceeded with its bracket.
 
 One unit kernel serves every (h, t): ``is_evasive`` decides each
 candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
@@ -69,40 +70,14 @@ Rows = Tuple[Tuple[int, ...], ...]
 
 
 class BudgetExceeded(RuntimeError):
-    """Search ran out of budget; carries the verified bracket."""
+    """Search ran out of budget; carries the verified bracket and the
+    certificates made before it ran out."""
 
-    def __init__(self, lower: int, upper: int, certificates: List["Certificate"]):
+    def __init__(self, lower: int, upper: int, certificates: List[dict]):
         super().__init__(f"budget exceeded; verified bracket [{lower}, {upper}]")
         self.lower = lower
         self.upper = upper
         self.certificates = certificates
-
-
-@dataclass
-class Certificate:
-    kind: str                          # witness | exhaustion
-    tower_spec: str
-    target: str
-    params: Dict[str, int]
-    witness: Optional[dict] = None
-    exhaustion: Optional[dict] = None
-    enum_order: str = ENUM_ORDER_TAG
-    schema_version: int = SCHEMA_VERSION
-
-    def to_json(self) -> dict:
-        obj = {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "tower": self.tower_spec,
-            "target": self.target,
-            "params": dict(self.params),
-            "enum_order": self.enum_order,
-        }
-        if self.witness is not None:
-            obj["witness"] = self.witness
-        if self.exhaustion is not None:
-            obj["exhaustion"] = self.exhaustion
-        return obj
 
 
 @dataclass
@@ -115,8 +90,8 @@ class ScanResult:
 @dataclass
 class OmegaResult:
     value: int
-    witness_certificate: Certificate
-    exhaustion_certificate: Certificate
+    witness_certificate: dict
+    exhaustion_certificate: dict
     bounds_lower: int
     bounds_upper: int
     paper_verified: bool
@@ -128,8 +103,8 @@ class OmegaResult:
             "bounds": [self.bounds_lower, self.bounds_upper],
             "paper_verified": self.paper_verified,
             "visited_total": self.visited_total,
-            "witness_certificate": self.witness_certificate.to_json(),
-            "exhaustion_certificate": self.exhaustion_certificate.to_json(),
+            "witness_certificate": self.witness_certificate,
+            "exhaustion_certificate": self.exhaustion_certificate,
         }
 
 
@@ -393,9 +368,10 @@ def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
                    stop_at_first: bool = True, threads: int = 1,
                    shards: int = 1, shard_index: int = 0,
                    budget: Optional[int] = None,
-                   deadline: Optional[float] = None) -> ScanResult:
+                   deadline: Optional[float] = None) -> Optional[ScanResult]:
     """Scan every d-dimensional F-subspace of E^[k] for a cutting r-blocking
-    set: the evasive scan at (h, t) = (k-r-1, d-mr-1)."""
+    set: the evasive scan at (h, t) = (k-r-1, d-mr-1), None once its budget
+    or deadline is spent."""
     h, t = cutting_evasive_params(tower.m, k, r, d)
     if not 0 <= d <= k * tower.m:
         raise ValueError(f"scan dimension {d} outside 0..{k * tower.m}")
@@ -407,24 +383,29 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
                   stop_at_first: bool = True, threads: int = 1,
                   shards: int = 1, shard_index: int = 0,
                   budget: Optional[int] = None,
-                  deadline: Optional[float] = None) -> ScanResult:
+                  deadline: Optional[float] = None) -> Optional[ScanResult]:
     """Scan every d-dimensional F-subspace of E^[k] for an (h,t)-evasive
-    one, in enumeration order.  Deterministic for any thread count.  The
-    node budget and the ``time.monotonic()`` deadline are checked after
-    each work unit, whose witness still counts.
+    one, in enumeration order.  Deterministic for any thread count.
+    Returns None once the node budget or the ``time.monotonic()`` deadline
+    is spent: both are checked before the sweep starts and after each work
+    unit, whose witness still counts.
     A dimension where no candidate passes, d < k (no E-span E^k) or
     t < min(h, 1) (an E-line, or for h = 0 the zero E-subspace, already
-    meets S in more than t), builds no unit: it is counted per pivot set."""
+    meets S in more than t), builds no unit: it is counted per pivot set,
+    and the count is checked against the node budget alone."""
     global _UNIT_WORKER
     if not 0 <= shard_index < shards:
         raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
                          f"got shards={shards}, shard_index={shard_index}")
+    if (budget is not None and budget <= 0 or
+            deadline is not None and time.monotonic() > deadline):
+        return None
     ambient = k * tower.m
     if d < k or t < min(h, 1):
         visited = sum(tower.q ** len(free_cells(pivots, ambient)) for pivots
                       in _pivot_sets(ambient, d, shards, shard_index))
         if budget is not None and visited > budget:
-            raise BudgetExceeded(d, d, [])
+            return None
         return ScanResult(d, visited)
     units = _units(ambient, d, tower.q, shards, shard_index)
     head = list(itertools.islice(units, 2))
@@ -450,7 +431,7 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
                     return ScanResult(d, visited_total, witness)
             if (budget is not None and visited_total > budget or
                     deadline is not None and time.monotonic() > deadline):
-                raise BudgetExceeded(d, d, [])
+                return None
     return ScanResult(d, visited_total, witness)
 
 
@@ -472,12 +453,13 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     witness certificate at the answer and an exhaustion certificate one
     dimension below.
 
-    Ascends from the rule lower bound; the d-1 sweep runs even when the
-    rules already pin the value.  Raises BudgetExceeded with the verified
-    bracket when the node or time budget runs out (both are checked before
-    each dimension scan and after each of its work units) or when
-    ``dim_cap`` stops the sweep below the rule upper bound; a cap below the
-    rule lower bound is a ValueError.
+    Ascends from the rule lower bound to the rule upper bound (or
+    ``dim_cap``, if lower), each dimension stopping at its first witness;
+    the d-1 sweep runs even when the rules already pin the value.  Raises
+    BudgetExceeded with the verified bracket when a sweep reports its node
+    or time budget spent, or when ``dim_cap`` stops the ascent below the
+    rule upper bound; a cap below the rule lower bound is a ValueError.
+    No witness up to the rule upper bound is a CertificateError.
     """
     _check_budget("node budget", budget)
     _check_budget("time budget", time_budget_s)
@@ -485,50 +467,49 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
     if dim_cap is not None and dim_cap < bounds.lower:
         raise ValueError(f"dim cap {dim_cap} is below the rule lower bound "
                          f"{bounds.lower}")
-    hard_cap = k * tower.m if dim_cap is None else min(dim_cap, k * tower.m)
+    top = bounds.upper if dim_cap is None else min(dim_cap, bounds.upper)
     spec = tower.spec_string()
     visited_total = 0
-    certs: List[Certificate] = []
+    certs: List[dict] = []
     deadline = (None if time_budget_s is None
                 else time.monotonic() + time_budget_s)
 
-    def scan(dim: int, stop_at_first: bool, bracket: Tuple[int, int],
-             held: List[Certificate]) -> ScanResult:
+    def scan(dim: int, bracket: Tuple[int, int],
+             held: List[dict]) -> ScanResult:
         # a spent budget or a passed deadline reports the caller's bracket
-        remaining = None if budget is None else budget - visited_total
-        if not (remaining is not None and remaining <= 0 or
-                deadline is not None and time.monotonic() > deadline):
-            with contextlib.suppress(BudgetExceeded):
-                return scan_dimension(tower, k, r, dim, stop_at_first,
-                                      threads, budget=remaining,
-                                      deadline=deadline)
-        raise BudgetExceeded(*bracket, held)
+        res = scan_dimension(
+            tower, k, r, dim, threads=threads, deadline=deadline,
+            budget=None if budget is None else budget - visited_total)
+        if res is None:
+            raise BudgetExceeded(*bracket, held)
+        return res
 
-    d = bounds.lower
-    while d <= hard_cap:
-        res = scan(d, True, (d, bounds.upper), certs)
+    for d in range(bounds.lower, top + 1):
+        res = scan(d, (d, bounds.upper), certs)
         visited_total += res.visited
         if res.witness is None:
-            certs.append(_exhaustion_certificate(tower, spec, k, r, d, res))
-            d += 1
+            certs.append(_certificate("exhaustion", spec, k, r, d,
+                                      _exhausted(tower, k, res)))
             continue
-        # witness found at d: make sure d-1 was exhausted (every rule puts
-        # bounds.lower >= k >= 1, so d-1 is a dimension)
-        witness_cert = _witness_certificate(tower, spec, k, r, d, res.witness)
+        # witness found at d: re-verify it through the public decider, and
+        # make sure d-1 was exhausted (every rule puts bounds.lower >= k >= 1,
+        # so d-1 is a dimension)
+        if not is_cutting(tower, k, res.witness, r).verdict:
+            raise CertificateError("witness failed re-verification")
+        witness_cert = _certificate("witness", spec, k, r, d,
+                                    res.witness.to_json())
         if d > bounds.lower:
             exhaustion_cert = certs[-1]
         else:
             # a budget spent here still leaves [d, d]: the rules give the
             # lower end, and the witness (carried for checking) the upper
-            below = scan(d - 1, False, (d, d), certs + [witness_cert])
+            below = scan(d - 1, (d, d), certs + [witness_cert])
             visited_total += below.visited
             if below.witness is not None:
                 raise CertificateError("witness below the rule lower "
                                        "bound: bounds are wrong")
-            exhaustion_cert = _exhaustion_certificate(
-                tower, spec, k, r, d - 1, below)
-        if not bounds.lower <= d <= bounds.upper:
-            raise CertificateError("computed value escapes the rule interval")
+            exhaustion_cert = _certificate("exhaustion", spec, k, r, d - 1,
+                                           _exhausted(tower, k, below))
         return OmegaResult(
             value=d,
             witness_certificate=witness_cert,
@@ -538,41 +519,30 @@ def omega_exhaustive(tower: FieldTower, k: int, r: int,
             paper_verified=bounds.exact,
             visited_total=visited_total,
         )
-    if d <= bounds.upper:
-        raise BudgetExceeded(d, bounds.upper, certs)
-    raise CertificateError("no cutting set found up to the dimension cap; "
-                           "the upper-bound rules contradict the search")
+    if top < bounds.upper:
+        raise BudgetExceeded(top + 1, bounds.upper, certs)
+    raise CertificateError("no cutting set found up to the rule upper bound: "
+                           "the rules contradict the search")
 
 
-def _witness_certificate(tower: FieldTower, spec: str, k: int, r: int,
-                         d: int, witness: Subspace) -> Certificate:
-    # re-verify through the public decider before certifying
-    if not is_cutting(tower, k, witness, r).verdict:
-        raise CertificateError("witness failed re-verification")
-    return Certificate(
-        kind="witness", tower_spec=spec, target="omega",
-        params={"k": k, "r": r, "dimension": d},
-        witness=witness.to_json(),
-    )
+def _certificate(kind: str, spec: str, k: int, r: int, d: int,
+                 body: dict) -> dict:
+    """A witness or exhaustion certificate of omega at dimension d, as
+    written to the wire: ``body`` sits under the key ``kind``."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "tower": spec,
+            "target": "omega", "params": {"k": k, "r": r, "dimension": d},
+            "enum_order": ENUM_ORDER_TAG, kind: body}
 
 
-def _check_exhausted(tower: FieldTower, k: int, res: ScanResult) -> None:
-    """An exhausted sweep visits every subspace of its dimension in F^(km)."""
+def _exhausted(tower: FieldTower, k: int, res: ScanResult) -> dict:
+    """The exhaustion record of a sweep without a witness, which must have
+    visited every subspace of its dimension in F^(km)."""
     expected = qbinom(tower.q, k * tower.m, res.dimension)
     if res.visited != expected:
         raise CertificateError(
             f"exhaustion visited {res.visited} != {expected}")
-
-
-def _exhaustion_certificate(tower: FieldTower, spec: str, k: int, r: int,
-                            d: int, res: ScanResult) -> Certificate:
-    _check_exhausted(tower, k, res)
-    return Certificate(
-        kind="exhaustion", tower_spec=spec, target="omega",
-        params={"k": k, "r": r, "dimension": d},
-        exhaustion={"dimension": d, "total_visited": res.visited,
-                    "counterexample_free": True},
-    )
+    return {"dimension": res.dimension, "total_visited": res.visited,
+            "counterexample_free": True}
 
 
 # ---------------------------------------------------------------------------
@@ -650,18 +620,17 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
     _check_budget("node budget", budget)
     visited = 0
     for d in range(k * tower.m, -1, -1):
-        remaining = None if budget is None else budget - visited
-        try:
-            res = _scan_evasive(tower, k, h, t, d, budget=remaining)
-        except BudgetExceeded:
-            raise BudgetExceeded(0, d, []) from None
+        res = _scan_evasive(tower, k, h, t, d, budget=None if budget is None
+                            else budget - visited)
+        if res is None:
+            raise BudgetExceeded(0, d, [])
         visited += res.visited
         if res.witness is not None:
             _check_evasive_caps(tower.m, k, h, t, d)
             if not is_evasive(tower, k, res.witness, h, t)[0]:
                 raise CertificateError("witness failed re-verification")
             return d, res.witness
-        _check_exhausted(tower, k, res)
+        _exhausted(tower, k, res)
     return None, None
 
 

@@ -62,8 +62,8 @@ def test_criterion_1_omega_closed_forms():
         results[(tower.order, k)] = res
         assert res.value == expect, (tower.order, k, res.value)
     big = results[(8, 3)]
-    assert big.exhaustion_certificate.exhaustion["total_visited"] == 3309747
-    assert big.exhaustion_certificate.exhaustion["dimension"] == 5
+    assert big.exhaustion_certificate["exhaustion"]["total_visited"] == 3309747
+    assert big.exhaustion_certificate["exhaustion"]["dimension"] == 5
     elapsed = time.monotonic() - t0
     _report("1 omega closed forms", elapsed < 600,
             f"values 3/4/5/6, 3309747 five-dim subspaces swept, "
@@ -232,10 +232,10 @@ def test_computed_row_omega_gf16_k3_r1():
     assert (res.value, res.bounds_lower, res.bounds_upper) == (6, 6, 7)
     assert res.paper_verified is False
     assert res.visited_total == 114496143208
-    exhaustion = res.exhaustion_certificate.exhaustion
+    exhaustion = res.exhaustion_certificate["exhaustion"]
     assert exhaustion["dimension"] == 5
     assert exhaustion["total_visited"] == qbinom(2, 12, 5)
-    witness = res.witness_certificate.witness
+    witness = res.witness_certificate["witness"]
     assert witness["rref_basis"] == [
         [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0],
         [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],

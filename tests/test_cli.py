@@ -273,6 +273,23 @@ def test_omega_budget_brackets(capsys, monkeypatch, limit):
     assert [c["exhaustion"]["dimension"] for c in obj["certificates"]] == [3]
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    (3, 4, "the rules contradict the search"),
+    (6, 6, "witness below the rule lower bound"),
+])
+def test_omega_rule_bracket_that_contradicts_the_search_exits_4(
+        capsys, monkeypatch, lower, upper, message):
+    # GF(4), k=3, r=1 is 5: a bracket below it ends the ascent without a
+    # witness, and one above it finds a witness in the d - 1 sweep
+    real = search.omega_bounds(2, 3, 1)
+    monkeypatch.setattr(search, "omega_bounds", lambda m, k, r: dataclasses
+                        .replace(real, lower=lower, upper=upper, exact=False))
+    code, _, err = run(capsys, "omega", "--field", GF4, "--k", "3",
+                       "--r", "1", "--threads", "1", "--json")
+    assert code == EXIT_CHECK
+    assert message in err
+
+
 @pytest.mark.parametrize("budget", [1, 2, 35])
 def test_omega_budget_spent_on_a_counted_dimension(capsys, budget):
     # GF(4), k=2, r=1: the witness at d = 3 costs 1 node, and d = 2 has
@@ -334,6 +351,31 @@ def test_census_budget_exit(capsys):
     code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
                        "--k", "2", "--budget", "1", "--json")
     assert code == 3 and json.loads(out) == {"error": "budget-exceeded"}
+
+
+def test_census_budget_text_claims_no_bracket(capsys):
+    # a census has no bracket to report, and 21 is its code count
+    code, out, _ = run(capsys, "census", "--field", GF4, "--n", "3",
+                       "--k", "2", "--budget", "1")
+    assert code == 3 and out.strip() == "budget exceeded"
+
+
+@pytest.mark.parametrize("t, budget, exit_code", [
+    (2, 0, 3), (1, 15, 3), (1, 16, 3), (1, 17, 0)])
+def test_evasive_max_checks_its_budget_before_each_dimension(
+        capsys, t, budget, exit_code):
+    # GF(4), k=2, h=1: for t = 2 the first unit at d = 4 holds a witness,
+    # and for t = 1, d = 4 and d = 3 exhaust 1 + 15 subspaces before the
+    # witness at d = 2.  A budget spent before a dimension stops there,
+    # even when that dimension's first unit would hold the answer
+    code, out, _ = run(capsys, "evasive-max", "--field", "p=2,m=2",
+                       "--k", "2", "--h", "1", "--t", str(t),
+                       "--budget", str(budget), "--json")
+    assert code == exit_code
+    if exit_code:
+        assert json.loads(out) == {"error": "budget-exceeded"}
+    else:
+        assert json.loads(out)["max_dimension"] == 2
 
 
 def test_verify_strict_exits_1_on_a_failing_suite(capsys, monkeypatch):

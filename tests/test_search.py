@@ -34,13 +34,13 @@ GF16_OVER_GF4 = make_field(2, 2, e=2)
 def test_omega_small_cases():
     res = omega_exhaustive(GF4, 2, 1)
     assert res.value == 3
-    assert res.exhaustion_certificate.exhaustion["total_visited"] == \
+    assert res.exhaustion_certificate["exhaustion"]["total_visited"] == \
         qbinom(2, 4, 2)
     res = omega_exhaustive(GF4, 3, 1)
     assert res.value == 5
     res = omega_exhaustive(GF8, 2, 1)
     assert res.value == 4
-    assert res.exhaustion_certificate.exhaustion["total_visited"] == \
+    assert res.exhaustion_certificate["exhaustion"]["total_visited"] == \
         qbinom(2, 6, 3)
 
 
@@ -53,7 +53,7 @@ def test_omega_r0_and_hyperplane_cases():
 def test_omega_witness_recheckable_by_definition_route():
     res = omega_exhaustive(GF4, 3, 1)
     witness = Subspace.from_json(
-        GF4, res.witness_certificate.witness)
+        GF4, res.witness_certificate["witness"])
     assert witness.dim == res.value
     assert is_cutting(GF4, 3, witness, 1, route="definition").verdict
     assert is_cutting(GF4, 3, witness, 1, route="prop21").verdict
@@ -401,7 +401,7 @@ def test_line_filter_runs_for_h2(monkeypatch):
 def test_omega_gf9_k3_r1_line_kernel():
     res = omega_exhaustive(GF9, 3, 1)
     assert res.value == 5
-    assert res.exhaustion_certificate.exhaustion["total_visited"] == \
+    assert res.exhaustion_certificate["exhaustion"]["total_visited"] == \
         qbinom(3, 6, 4) == 11011
 
 

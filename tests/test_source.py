@@ -225,3 +225,22 @@ def test_every_public_name_has_a_caller():
                       for name, (module, node) in defined.items()
                       if named[name] == _names(node)[name])
     assert uncalled == [], f"public names with no caller: {uncalled}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name)
+def test_only_the_cli_catches_budget_exceeded(path):
+    # a sweep reports a spent budget by returning None, and the search that
+    # ran it raises BudgetExceeded once, with its bracket; only the CLI
+    # turns it into an exit code.  Neither an ``except`` clause that names
+    # it nor ``contextlib.suppress(BudgetExceeded)`` belongs elsewhere
+    tree = ast.parse(path.read_text(), filename=str(path))
+    caught = [node.type for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    caught += [arg for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and _names(node.func)["suppress"]
+               for arg in node.args]
+    lines = sorted(node.lineno for node in caught
+                   if _names(node)["BudgetExceeded"])
+    assert lines == [], f"{path.name}: BudgetExceeded caught on lines {lines}"
