@@ -217,8 +217,8 @@ def _cmd_evasive_max(args) -> int:
     try:
         dim, witness = max_evasive_dim(tower, args.k, args.h, args.t,
                                        budget=args.budget)
-    except BudgetExceeded as err:
-        _emit(args, {"error": "budget-exceeded"}, str(err))
+    except BudgetExceeded:
+        _emit(args, {"error": "budget-exceeded"}, "budget exceeded")
         return EXIT_BUDGET
     obj = {"max_dimension": dim}
     if witness is not None:

@@ -13,12 +13,15 @@ and the search that ran it raises BudgetExceeded with its bracket.
 One unit kernel serves every (h, t): ``is_evasive`` decides each
 candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
 filter on packed rows runs first: every E-line lies in some h-dimensional
-E-subspace, so a candidate fails as soon as some line has seen more than
-q^t - 1 of its span elements.  The test is hereditary, so the filter is a
-recursion with one node per RREF row, highest row first: a node steps its
-own row's cells on top of the rows above it, and a row value that already
-fails drops every fill under it; the dropped fills still count towards the
-unit's visited total.
+E-subspace, so a candidate fails when it meets some E-line in F-dimension
+more than t.  The test is hereditary, so the filter is a recursion with
+one node per RREF row, highest row first, and a node tests its row's
+values by the dimension lemma: adding a row w to the span A of the rows
+above raises dim_F(A ∩ L) by at most 1 on every E-line L, and exactly on
+the lines of the elements w + s, s in A.  So w fails iff one of those
+lines already meets A in dimension t, one line lookup per element of A.
+A row value that fails drops every fill under it; the dropped fills still
+count towards the unit's visited total.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -70,14 +73,19 @@ Rows = Tuple[Tuple[int, ...], ...]
 
 
 class BudgetExceeded(RuntimeError):
-    """Search ran out of budget; carries the verified bracket and the
-    certificates made before it ran out."""
+    """Search ran out of budget; carries the verified bracket of a search
+    that has one (lower and upper are None otherwise) and the certificates
+    made before it ran out."""
 
-    def __init__(self, lower: int, upper: int, certificates: List[dict]):
-        super().__init__(f"budget exceeded; verified bracket [{lower}, {upper}]")
+    def __init__(self, lower: Optional[int] = None,
+                 upper: Optional[int] = None,
+                 certificates: Sequence[dict] = ()):
+        bracket = ("" if lower is None else
+                   f"; verified bracket [{lower}, {upper}]")
+        super().__init__("budget exceeded" + bracket)
         self.lower = lower
         self.upper = upper
-        self.certificates = certificates
+        self.certificates = list(certificates)
 
 
 @dataclass
@@ -193,34 +201,33 @@ def _units(ambient: int, d: int, order: int,
 
 def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                     lo: int, hi: int) -> Iterator[int]:
-    """The fills in lo..hi-1 whose span puts at most q^t - 1 nonzero
-    elements on every E-line, in increasing order.
+    """The fills in lo..hi-1 whose span meets every E-line in F-dimension
+    at most t, in increasing order.
 
     One node per RREF row, row d-1 first.  Row r's cells are digits
     first[r] .. first[r+1]-1 of a fill, so a node at row r, under the
-    fill ``base`` of rows r+1..d-1, steps only its own cells: through the
-    fills base + a * q^first[r], each the head of a block of q^first[r]
-    fills, clipped to [lo, hi).  The span's nonzero elements are walked
-    in modular p-ary Gray order over the GF(p)-generators beta_j * row_i
-    (beta_j = x^j, a GF(p)-basis of F), highest row first: step i adds
-    generator v_p(i), so each element costs one vector add and one line
-    lookup.  With g = e * (d-1-r), steps 1 .. p^g - 1 reach exactly
-    span_F(rows > r), and steps p^g .. p^(g+e) - 1 exactly the new
-    elements a * row_r + s, which is all a node walks, from the vector v0
-    its parent's walk ended on.  Its hits stay on the shared line counters
-    while the node of row r-1 runs below it, and are undone before its next
-    fill.  The test is hereditary (a subspace of S meets every line in a
-    subspace of S's meet), so a fill that overloads a line rejects its
-    whole block.  Needs t >= 1: ``_scan_evasive`` settles t <= 0 without
-    a unit.
+    fill ``base`` of rows r+1..d-1, lists its own row's values: the fills
+    base + a * q^first[r], each the head of a block of q^first[r] fills,
+    clipped to [lo, hi).  It tests them by the dimension lemma.  Let A be
+    the span of the rows above and w a value of row r.  Adding w raises
+    dim_F(A ∩ L) by at most 1 on every E-line L, and exactly on the lines
+    that hold a new element lambda * w + s (lambda in F*, s in A).  L is
+    closed under F-scalars, so those are the lines of the coset w + A, one
+    lookup per element, and w fails iff one of them already meets A in
+    dimension t.  ``depth`` holds dim_F(A ∩ L) for every line; a value
+    that passes raises it on the lines of w + A while the node of row r-1
+    runs below it.  The test is hereditary (a subspace of S meets every
+    line in a subspace of S's meet), so a failing value rejects its whole
+    block.  Needs t >= 1: ``_scan_evasive`` settles t <= 0 without a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
     ambient = table.k * m
     d = len(pivots)
-    # A row is held as its e scalings beta_j * row side by side, block j
-    # from bit j * block on.  Every slot holds exactly one digit, so
-    # changing a cell's value is a plain integer add.
+    # A row value is held as its e scalings beta_j * row side by side
+    # (beta_j = x^j, a GF(p)-basis of F), block j from bit j * block on;
+    # the low block is the row itself.  Every slot holds exactly one
+    # digit, so summing cell values is a plain integer add.
     block = table.width * ambient * e
 
     betas = [p ** j for j in range(e)]
@@ -232,98 +239,99 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
 
     cells = free_cells(pivots, ambient)
     val = [[scaled(c, a) for a in range(q)] for _, c in cells]
-    step = [[v[a + 1] - v[a] for a in range(q - 1)] for v in val]
     unfilled = [scaled(c, 1) for c in pivots]
     first = [sum(1 for i, _ in cells if i < r) for r in range(d + 1)]
     size = [q ** j for j in first]
     split = [j * block for j in range(e)]
     low_block = (1 << block) - 1
-    # beta_b * row_r is gens[r * e + b]; walk[r] lists the generators of
-    # row r's steps, the walk's generator j being beta_(j mod e) *
-    # row_(d-1-j//e)
-    gens = [0] * (d * e)
-    walk = []
-    for r in range(d):
-        g = e * (d - 1 - r)
-        seg = []
-        for i in range(p ** g, p ** (g + e)):
-            j = 0
-            while i % p == 0:
-                i //= p
-                j += 1
-            seg.append((d - 1 - j // e) * e + j % e)
-        walk.append(seg)
     # slot-wise mod-p add for odd p: s = u + g; u = s - p * (slots >= p)
     top_bit = table.width - 1
     ones = sum(1 << (table.width * s) for s in range(ambient * e))
     carry = ((1 << top_bit) - p) * ones
-    cap = q ** t - 1
-    last = q - 1
     line_of = table.line_of
-    seen = [0] * table.num_lines       # hits of the nodes above, per line
+    depth = bytearray(table.num_lines)     # never above t
+    full: List[Optional[List[int]]] = [None] * d
 
-    def node(r: int, v0: int, base: int) -> Iterator[int]:
-        j0, block_fills, seg, at = first[r], size[r], walk[r], r * e
+    def row_values(r: int, a: int, stop: int) -> List[int]:
+        # values of row r's digits a .. stop-1: the sums of its low cells
+        # (at most stop - a of them) under each high prefix the range meets
+        j0, j1 = first[r], first[r + 1]
+        j = j0
+        while j < j1 and q ** (j + 1 - j0) <= stop - a:
+            j += 1
+        sums = [0]
+        for c in range(j - 1, j0 - 1, -1):
+            sums = [u + x for u in sums for x in val[c]]
+        n = len(sums)
+        out: List[int] = []
+        for h in range(a // n, -(-stop // n)):
+            digits = int_to_digits(h, q, j1 - j)
+            head = unfilled[r] + sum(val[c][x]
+                                     for c, x in enumerate(digits, j))
+            out += [head + u for u in sums]
+        return out[a % n:a % n + stop - a]
+
+    def grow(span: List[int], w: int) -> List[int]:
+        # span + F * w, one GF(p)-generator beta_j * w at a time
+        for sh in split:
+            g = (w >> sh) & low_block
+            layer = span
+            for _ in range(p - 1):
+                if p == 2:
+                    layer = [u ^ g for u in layer]
+                else:
+                    layer = [s - p * (((s + carry) >> top_bit) & ones)
+                             for s in [u + g for u in layer]]
+                span = span + layer
+        return span
+
+    def node(r: int, span: List[int], base: int) -> Iterator[int]:
+        block_fills = size[r]
         a = max(lo - base, 0) // block_fills
         stop = -(-min(hi - base, size[r + 1]) // block_fills)
-        fill = base + a * block_fills
-        w = unfilled[r]
-        if a:
-            w += sum(val[j][x] for j, x in
-                     enumerate(int_to_digits(a, q, first[r + 1] - j0), j0))
-        log: List[int] = []
-        push = log.append
-        while True:
-            if e == 1:
-                gens[r] = w
-            else:
-                for b, sh in enumerate(split):
-                    gens[at + b] = (w >> sh) & low_block
-            v = v0
-            ok = True
-            if p == 2:
-                for g in seg:
-                    v ^= gens[g]
-                    lid = line_of[v]
-                    push(lid)
-                    c = seen[lid] + 1
-                    seen[lid] = c
-                    if c > cap:
-                        ok = False
+        if a == 0 and stop * block_fills == size[r + 1]:
+            if full[r] is None:
+                full[r] = row_values(r, 0, stop)
+            values = full[r]
+        else:
+            values = row_values(r, a, stop)
+        passing: List[int] = []
+        keep = passing.append
+        lows = values if e == 1 else [w & low_block for w in values]
+        if p == 2:
+            for i, x in enumerate(lows):
+                for s in span:
+                    if depth[line_of[x ^ s]] == t:
                         break
-            else:
-                for g in seg:
-                    s = v + gens[g]
-                    v = s - p * (((s + carry) >> top_bit) & ones)
-                    lid = line_of[v]
-                    push(lid)
-                    c = seen[lid] + 1
-                    seen[lid] = c
-                    if c > cap:
-                        ok = False
-                        break
-            if ok:
-                if r:
-                    yield from node(r - 1, v, fill)
                 else:
-                    yield fill
-            for lid in log:
-                seen[lid] -= 1
-            log.clear()
-            a += 1
-            if a == stop:
-                return
-            fill += block_fills
-            # a's digits that wrapped to 0, then the one that went up
-            j, x = j0, a
-            while x % q == 0:
-                w -= val[j][last]
-                x //= q
-                j += 1
-            w += step[j][x % q - 1]
+                    keep(i)
+        else:
+            for i, x in enumerate(lows):
+                for s in span:
+                    s += x
+                    if depth[line_of[s - p * (((s + carry) >> top_bit)
+                                              & ones)]] == t:
+                        break
+                else:
+                    keep(i)
+        fill = base + a * block_fills
+        if not r:
+            yield from [fill + i * block_fills for i in passing]
+            return
+        n = len(span)
+        for i in passing:
+            # the lines of the coset w + A, which grow lists right after A;
+            # w + s and w + s' share a line iff s - s' lies on it
+            below = grow(span, values[i])
+            up = set(map(line_of.__getitem__, below[n:2 * n]))
+            for lid in up:
+                depth[lid] += 1
+            yield from node(r - 1, below, fill + i * block_fills)
+            for lid in up:
+                depth[lid] -= 1
 
     if lo < hi:
-        yield from node(d - 1, 0, 0)
+        yield from node(d - 1, [0], 0)
 
 
 def _line_test_applies(tower: FieldTower, k: int, h: int, t: int) -> bool:
@@ -564,7 +572,7 @@ def census_codes(tower: FieldTower, n: int, k: int,
     _check_budget("node budget", budget)
     total = qbinom(tower.order, n, k)
     if budget is not None and total > budget:
-        raise BudgetExceeded(0, total, [])
+        raise BudgetExceeded()
     m = tower.m
     seen = minimal = constant = 0
     weight_dist: Dict[int, int] = {}
@@ -623,7 +631,7 @@ def max_evasive_dim(tower: FieldTower, k: int, h: int, t: int,
         res = _scan_evasive(tower, k, h, t, d, budget=None if budget is None
                             else budget - visited)
         if res is None:
-            raise BudgetExceeded(0, d, [])
+            raise BudgetExceeded()
         visited += res.visited
         if res.witness is not None:
             _check_evasive_caps(tower.m, k, h, t, d)

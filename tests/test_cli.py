@@ -360,6 +360,13 @@ def test_census_budget_text_claims_no_bracket(capsys):
     assert code == 3 and out.strip() == "budget exceeded"
 
 
+def test_evasive_max_budget_text_claims_no_bracket(capsys):
+    # the descent from d = 4 has verified no bracket when its budget is spent
+    code, out, _ = run(capsys, "evasive-max", "--field", "p=2,m=2",
+                       "--k", "2", "--h", "1", "--t", "1", "--budget", "15")
+    assert code == 3 and out.strip() == "budget exceeded"
+
+
 @pytest.mark.parametrize("t, budget, exit_code", [
     (2, 0, 3), (1, 15, 3), (1, 16, 3), (1, 17, 0)])
 def test_evasive_max_checks_its_budget_before_each_dimension(

@@ -12,7 +12,7 @@ import rankmin
 from rankmin import search, suites
 from rankmin.cli import run_command
 from rankmin.combinatorics import qbinom
-from rankmin.fields import int_to_digits, make_field
+from rankmin.fields import _row_kernel, int_to_digits, make_field
 from rankmin.geometry import cutting_evasive_params, is_cutting, is_evasive
 from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
                             mat_vec, unflatten_vector, walk_fills)
@@ -349,18 +349,198 @@ def test_line_survivors_match_oracle_on_whole_pivot_sets(tower, k):
     assert passed > 0 and failed > 0 and clipped > 0
 
 
-@pytest.mark.parametrize("tower, k, r, d, shards, index", [
-    (GF9, 3, 1, 4, 1, 0),       # p = 3, exhausts
-    (GF8, 3, 1, 6, 1, 0),       # finds a witness
-    (GF8, 3, 1, 5, 9, 4),       # one shard of the exhaustion
-], ids=["gf9-d4", "gf8-d6", "gf8-d5-shard"])
-def test_units_that_cut_row_blocks_change_nothing(monkeypatch, tower, k, r,
-                                                  d, shards, index):
-    # 7 is a power of no q, so units start and end inside row blocks
-    want = scan_dimension(tower, k, r, d, shards=shards, shard_index=index)
+def _counting_line_survivors(table, t, pivots, lo, hi):
+    """Reference for ``search._line_survivors``: the same fills, found by
+    counting elements instead of by the dimension lemma.
+
+    Each node walks the nonzero elements a * row_r + s its row adds to the
+    span of the rows above, in modular p-ary Gray order over the
+    GF(p)-generators beta_j * row_i, and adds one hit per element to its
+    E-line; a fill fails once some line holds more than q^t - 1 of them.
+    The hits of a node stay on the shared counters while the node of row
+    r-1 runs below it, and are undone before its next fill.
+    """
+    tower = table.tower
+    p, e, m, q = tower.p, tower.e, tower.m, tower.q
+    ambient = table.k * m
+    d = len(pivots)
+    # A row is held as its e scalings beta_j * row side by side, block j
+    # from bit j * block on.  Every slot holds exactly one digit, so
+    # changing a cell's value is a plain integer add.
+    block = table.width * ambient * e
+
+    betas = [p ** j for j in range(e)]
+    scale = _row_kernel(tower.F)[0]
+
+    def scaled(col, a):
+        return sum(table.pack((x,), col) << (j * block)
+                   for j, x in enumerate(scale(a, betas)))
+
+    cells = free_cells(pivots, ambient)
+    val = [[scaled(c, a) for a in range(q)] for _, c in cells]
+    step = [[v[a + 1] - v[a] for a in range(q - 1)] for v in val]
+    unfilled = [scaled(c, 1) for c in pivots]
+    first = [sum(1 for i, _ in cells if i < r) for r in range(d + 1)]
+    size = [q ** j for j in first]
+    split = [j * block for j in range(e)]
+    low_block = (1 << block) - 1
+    # beta_b * row_r is gens[r * e + b]; walk[r] lists the generators of
+    # row r's steps, the walk's generator j being beta_(j mod e) *
+    # row_(d-1-j//e)
+    gens = [0] * (d * e)
+    walk = []
+    for r in range(d):
+        g = e * (d - 1 - r)
+        seg = []
+        for i in range(p ** g, p ** (g + e)):
+            j = 0
+            while i % p == 0:
+                i //= p
+                j += 1
+            seg.append((d - 1 - j // e) * e + j % e)
+        walk.append(seg)
+    # slot-wise mod-p add for odd p: s = u + g; u = s - p * (slots >= p)
+    top_bit = table.width - 1
+    ones = sum(1 << (table.width * s) for s in range(ambient * e))
+    carry = ((1 << top_bit) - p) * ones
+    cap = q ** t - 1
+    last = q - 1
+    line_of = table.line_of
+    seen = [0] * table.num_lines       # hits of the nodes above, per line
+
+    def node(r, v0, base):
+        j0, block_fills, seg, at = first[r], size[r], walk[r], r * e
+        a = max(lo - base, 0) // block_fills
+        stop = -(-min(hi - base, size[r + 1]) // block_fills)
+        fill = base + a * block_fills
+        w = unfilled[r]
+        if a:
+            w += sum(val[j][x] for j, x in
+                     enumerate(int_to_digits(a, q, first[r + 1] - j0), j0))
+        log = []
+        push = log.append
+        while True:
+            if e == 1:
+                gens[r] = w
+            else:
+                for b, sh in enumerate(split):
+                    gens[at + b] = (w >> sh) & low_block
+            v = v0
+            ok = True
+            if p == 2:
+                for g in seg:
+                    v ^= gens[g]
+                    lid = line_of[v]
+                    push(lid)
+                    c = seen[lid] + 1
+                    seen[lid] = c
+                    if c > cap:
+                        ok = False
+                        break
+            else:
+                for g in seg:
+                    s = v + gens[g]
+                    v = s - p * (((s + carry) >> top_bit) & ones)
+                    lid = line_of[v]
+                    push(lid)
+                    c = seen[lid] + 1
+                    seen[lid] = c
+                    if c > cap:
+                        ok = False
+                        break
+            if ok:
+                if r:
+                    yield from node(r - 1, v, fill)
+                else:
+                    yield fill
+            for lid in log:
+                seen[lid] -= 1
+            log.clear()
+            a += 1
+            if a == stop:
+                return
+            fill += block_fills
+            # a's digits that wrapped to 0, then the one that went up
+            j, x = j0, a
+            while x % q == 0:
+                w -= val[j][last]
+                x //= q
+                j += 1
+            w += step[j][x % q - 1]
+
+    if lo < hi:
+        yield from node(d - 1, 0, 0)
+
+
+@pytest.mark.parametrize("tower, k", [
+    (GF8, 3), (GF9, 3), (GF16_OVER_GF4, 2), (make_field(5, 2), 2),
+    (make_field(3, 3), 2), (make_field(3, 2, e=2), 2),
+    (make_field(2, 3, basis=[1, 3, 7]), 2)],
+    ids=["gf8", "gf9", "gf16-over-gf4", "gf25", "gf27", "gf81-over-gf9",
+         "gf8-basis"])
+def test_line_survivors_match_the_counting_kernel(tower, k):
+    # every whole pivot set of at most 4,096 fills, for every 1 <= t < m,
+    # then three seeded windows of each, which clip the nodes of every row
+    table = search._line_table(tower, k)
+    ambient = k * tower.m
+    rng = random.Random(5)
+    passed = failed = 0
+    for t in range(1, tower.m):
+        for d in range(1, ambient + 1):
+            for pivots in itertools.combinations(range(ambient), d):
+                nfill = tower.q ** len(free_cells(pivots, ambient))
+                if nfill > 4096:
+                    continue
+                want = list(_counting_line_survivors(table, t, pivots,
+                                                     0, nfill))
+                got = list(search._line_survivors(table, t, pivots, 0, nfill))
+                assert got == want, (t, pivots)
+                passed += len(got)
+                failed += nfill - len(got)
+                for _ in range(3):
+                    lo, hi = sorted(rng.sample(range(nfill + 1), 2))
+                    got = list(search._line_survivors(table, t, pivots,
+                                                      lo, hi))
+                    assert got == [f for f in want if lo <= f < hi], \
+                        (t, pivots, lo, hi)
+    assert passed > 0 and failed > 0
+
+
+@pytest.mark.parametrize("tower, k, h, t, d, stop, shards, index", [
+    (GF9, 3, 1, 1, 4, True, 1, 0),  # omega's r = 1 sweep; p = 3, exhausts
+    (GF8, 3, 1, 2, 6, True, 1, 0),  # r = 1, finds a witness
+    (GF8, 3, 1, 1, 5, True, 9, 4),  # r = 1, one shard of the exhaustion
+    # r = 0, odd p, e = 2: all 7,462 fills
+    (make_field(3, 2, e=2), 2, 1, 1, 2, False, 1, 0),
+    # loose t: 1,536 of the 2,048 fills of pivots (1, 5, 6, 7, 10, 11)
+    # pass the filter
+    (make_field(2, 4), 3, 1, 2, 6, False, 924, 698),
+], ids=["gf9-d4", "gf8-d6", "gf8-d5-shard", "gf81-over-gf9-d2",
+        "gf16-d6-t2-shard"])
+def test_units_that_cut_row_blocks_change_nothing(monkeypatch, tower, k, h,
+                                                  t, d, stop, shards, index):
+    # 7 is a power of no q, so units start and end inside row blocks, and
+    # the filter lists clipped row values at both ends of each unit
+    table = search._line_table(tower, k)
+    ambient = k * tower.m
+
+    def sweep():
+        res = search._scan_evasive(tower, k, h, t, d, stop_at_first=stop,
+                                   shards=shards, shard_index=index)
+        # the filter's survivors among the fills the sweep visited
+        survivors, seen = [], 0
+        for pivots, lo, hi in _units(ambient, d, tower.q, shards, index):
+            hi = min(hi, lo + res.visited - seen)
+            if hi <= lo:
+                break
+            survivors += [(pivots, fill) for fill in
+                          search._line_survivors(table, t, pivots, lo, hi)]
+            seen += hi - lo
+        return res.visited, res.witness, survivors
+
+    want = sweep()
     monkeypatch.setattr(search, "_FILL_CHUNK", 7)
-    got = scan_dimension(tower, k, r, d, shards=shards, shard_index=index)
-    assert (got.visited, got.witness) == (want.visited, want.witness)
+    assert sweep() == want
 
 
 def _no_table(tower, k):
@@ -409,6 +589,21 @@ def test_budget_exceeded_brackets():
     with pytest.raises(BudgetExceeded) as err:
         omega_exhaustive(GF8, 3, 1, budget=1000)
     assert (err.value.lower, err.value.upper) == (6, 6)
+    assert str(err.value) == "budget exceeded; verified bracket [6, 6]"
+
+
+@pytest.mark.parametrize("search_call", [
+    lambda: census_codes(GF4, 3, 2, budget=1),      # 21 codes to visit
+    lambda: max_evasive_dim(GF4, 2, 2, 1, budget=0),
+], ids=["census", "evasive-max"])
+def test_budget_exceeded_without_a_bracket_claims_none(search_call):
+    # neither search verifies a bracket: a census counts codes, and the
+    # evasive sweep has no (2, 1)-evasive subspace to bound
+    with pytest.raises(BudgetExceeded) as err:
+        search_call()
+    assert str(err.value) == "budget exceeded"
+    assert (err.value.lower, err.value.upper, err.value.certificates) == \
+        (None, None, [])
 
 
 def test_census_gf4_n3_k2():
