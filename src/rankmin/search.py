@@ -37,6 +37,7 @@ they hold under ``python -O`` too.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -44,7 +45,8 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .combinatorics import (
     CountReport,
@@ -205,20 +207,32 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     at most t, in increasing order.
 
     One node per RREF row, row d-1 first.  Row r's cells are digits
-    first[r] .. first[r+1]-1 of a fill, so a node at row r, under the
-    fill ``base`` of rows r+1..d-1, lists its own row's values: the fills
-    base + a * q^first[r], each the head of a block of q^first[r] fills,
-    clipped to [lo, hi).  It tests them by the dimension lemma.  Let A be
-    the span of the rows above and w a value of row r.  Adding w raises
-    dim_F(A ∩ L) by at most 1 on every E-line L, and exactly on the lines
-    that hold a new element lambda * w + s (lambda in F*, s in A).  L is
-    closed under F-scalars, so those are the lines of the coset w + A, one
-    lookup per element, and w fails iff one of them already meets A in
-    dimension t.  ``depth`` holds dim_F(A ∩ L) for every line; a value
-    that passes raises it on the lines of w + A while the node of row r-1
-    runs below it.  The test is hereditary (a subspace of S meets every
-    line in a subspace of S's meet), so a failing value rejects its whole
-    block.  Needs t >= 1: ``_scan_evasive`` settles t <= 0 without a unit.
+    first[r] .. first[r+1]-1 of a fill, so the values of row r under the
+    fill ``base`` of rows r+1..d-1 are the fills base + a * q^first[r],
+    each the head of a block of q^first[r] fills, clipped to [lo, hi).
+    Rows are tested by the dimension lemma.  Let A be the span of the rows
+    above and w a value of row r.  Adding w raises dim_F(A ∩ L) by at most
+    1 on every E-line L, and exactly on the lines that hold a new element
+    lambda * w + s (lambda in F*, s in A).  L is closed under F-scalars, so
+    those are ``up``, the lines of the coset w + A, and w fails iff one of
+    them already meets A in dimension t.  ``depth`` holds dim_F(A ∩ L) for
+    every line and ``capped`` the lines at depth t.  The test is
+    hereditary (a subspace of S meets every line in a subspace of S's
+    meet), so a failing value rejects its whole block.
+
+    A node holds A and the passing values w of its row, each with its
+    ``up``, and tests the next row's values x under all of them.  The span
+    under w is B = A + F * w: A and the new elements lambda * w + s.  So
+    the node tests x against A once, before any w: x is dead if a line of
+    x + A is capped, and otherwise keeps those lines at depth t - 1, its
+    ``edge``.  Under w, a line at depth t - 1 reaches t exactly when it is
+    in ``up``.  So x fails under w iff ``up`` meets its edge, or a line of
+    a new element x + lambda * w + s is capped, or in ``up`` at depth
+    t - 1: each w looks up only x's new elements, not the half of B that
+    its siblings share.  Only a w with a row below raises ``depth`` on
+    ``up``, while that row runs; the last row's passing values are yielded
+    by the loop that tests them.  Needs t >= 1: ``_scan_evasive`` settles
+    t <= 0 without a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
@@ -250,12 +264,37 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     carry = ((1 << top_bit) - p) * ones
     line_of = table.line_of
     depth = bytearray(table.num_lines)     # never above t
-    full: List[Optional[List[int]]] = [None] * d
+    capped: Set[int] = set()
+    full: List[Optional[List[List[int]]]] = [None] * d
 
-    def row_values(r: int, a: int, stop: int) -> List[int]:
-        # values of row r's digits a .. stop-1: the sums of its low cells
-        # (at most stop - a of them) under each high prefix the range meets
+    if p == 2:
+        def cosets(xs: List[int], span: List[int]) -> List[int]:
+            # the packed sums x + s, x in xs, s in span
+            return [x ^ s for x in xs for s in span]
+    else:
+        def cosets(xs: List[int], span: List[int]) -> List[int]:
+            return [x + s - p * (((x + s + carry) >> top_bit) & ones)
+                    for x in xs for s in span]
+
+    def multiples(w: int) -> List[int]:
+        # lambda * w for lambda in F*, w first: the GF(p)-span of the
+        # scalings beta_j * w, one generator at a time, less 0
+        span = [0]
+        for sh in split:
+            layer = span
+            for _ in range(p - 1):
+                layer = cosets([(w >> sh) & low_block], layer)
+                span = span + layer
+        return span[1:]
+
+    def row_values(r: int, a: int, stop: int) -> List[List[int]]:
+        # the multiples of row r's values for digits a .. stop-1: the sums
+        # of its low cells (at most stop - a of them) under each high
+        # prefix the range meets
         j0, j1 = first[r], first[r + 1]
+        whole = a == 0 and q ** (j1 - j0) == stop
+        if whole and full[r] is not None:
+            return full[r]
         j = j0
         while j < j1 and q ** (j + 1 - j0) <= stop - a:
             j += 1
@@ -269,69 +308,104 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
             head = unfilled[r] + sum(val[c][x]
                                      for c, x in enumerate(digits, j))
             out += [head + u for u in sums]
-        return out[a % n:a % n + stop - a]
+        listed = [multiples(w) for w in out[a % n:a % n + stop - a]]
+        if whole:
+            full[r] = listed
+        return listed
 
-    def grow(span: List[int], w: int) -> List[int]:
-        # span + F * w, one GF(p)-generator beta_j * w at a time
-        for sh in split:
-            g = (w >> sh) & low_block
-            layer = span
-            for _ in range(p - 1):
+    def clip(r: int, base: int) -> Tuple[int, int]:
+        # the digits a .. stop-1 of row r that [lo, hi) meets under the
+        # block of fills from ``base`` that the rows above fix
+        return (max(lo - base, 0) // size[r],
+                -(-min(hi - base, size[r + 1]) // size[r]))
+
+    def node(r: int, span: List[int],
+             kids: List[Tuple[int, List[int], FrozenSet[int]]],
+             ) -> Iterator[int]:
+        # kids: (first fill, multiples, up) of row r's passing values, in
+        # order; row r-1 is tested under each of them
+        (a, s), (a1, s1) = clip(r - 1, kids[0][0]), clip(r - 1, kids[-1][0])
+        a = min(a, a1)
+        listed = row_values(r - 1, a, max(s, s1))
+        live = []
+        for j, xs in enumerate(listed, a):
+            x = xs[0]
+            seen, edge = [], []
+            for u in span:
                 if p == 2:
-                    layer = [u ^ g for u in layer]
+                    lid = line_of[x ^ u]
                 else:
-                    layer = [s - p * (((s + carry) >> top_bit) & ones)
-                             for s in [u + g for u in layer]]
-                span = span + layer
-        return span
-
-    def node(r: int, span: List[int], base: int) -> Iterator[int]:
-        block_fills = size[r]
-        a = max(lo - base, 0) // block_fills
-        stop = -(-min(hi - base, size[r + 1]) // block_fills)
-        if a == 0 and stop * block_fills == size[r + 1]:
-            if full[r] is None:
-                full[r] = row_values(r, 0, stop)
-            values = full[r]
-        else:
-            values = row_values(r, a, stop)
-        passing: List[int] = []
-        keep = passing.append
-        lows = values if e == 1 else [w & low_block for w in values]
-        if p == 2:
-            for i, x in enumerate(lows):
-                for s in span:
-                    if depth[line_of[x ^ s]] == t:
-                        break
-                else:
-                    keep(i)
-        else:
-            for i, x in enumerate(lows):
-                for s in span:
-                    s += x
-                    if depth[line_of[s - p * (((s + carry) >> top_bit)
-                                              & ones)]] == t:
-                        break
-                else:
-                    keep(i)
-        fill = base + a * block_fills
-        if not r:
-            yield from [fill + i * block_fills for i in passing]
-            return
-        n = len(span)
-        for i in passing:
-            # the lines of the coset w + A, which grow lists right after A;
-            # w + s and w + s' share a line iff s - s' lies on it
-            below = grow(span, values[i])
-            up = set(map(line_of.__getitem__, below[n:2 * n]))
+                    u += x
+                    lid = line_of[u - p * (((u + carry) >> top_bit) & ones)]
+                if depth[lid] == t - 1:
+                    edge.append(lid)
+                elif depth[lid] == t:
+                    break
+                seen.append(lid)
+            else:
+                live.append((j, frozenset(edge), xs, seen))
+        for base, ws, up in kids:
+            if lo <= base and base + size[r] <= hi:
+                tried = live
+            else:
+                a, s = clip(r - 1, base)
+                tried = live[bisect.bisect_left(live, (a,)):
+                             bisect.bisect_left(live, (s,))]
+            new = cosets(ws, span)
+            # a new element fails on a line at depth t, or in up at t - 1
+            near = capped.union(up)
+            passing = []
+            for j, edge, xs, seen in tried:
+                if up.isdisjoint(edge):
+                    x = xs[0]
+                    if p == 2:
+                        for u in new:
+                            if (lid := line_of[x ^ u]) in near and \
+                                    depth[lid] >= t - 1:
+                                break
+                        else:
+                            passing.append((j, xs, seen))
+                    else:
+                        for u in new:
+                            u += x
+                            if (lid := line_of[u - p * (((u + carry)
+                                                         >> top_bit) & ones)]
+                                ) in near and depth[lid] >= t - 1:
+                                break
+                        else:
+                            passing.append((j, xs, seen))
+            if not passing:
+                continue
+            if r == 1:
+                yield from [base + j for j, _, _ in passing]
+                continue
             for lid in up:
                 depth[lid] += 1
-            yield from node(r - 1, below, fill + i * block_fills)
+            hot = [lid for lid in up if depth[lid] == t]
+            capped.update(hot)
+            below = []
+            for j, xs, seen in passing:
+                # the kid's up: the lines of x + A and of its new elements
+                x = xs[0]
+                if p == 2:
+                    seen = seen + [line_of[x ^ u] for u in new]
+                else:
+                    seen = seen + [line_of[x + u - p * (((x + u + carry)
+                                                         >> top_bit) & ones)]
+                                   for u in new]
+                below.append((base + j * size[r - 1], xs, frozenset(seen)))
+            yield from node(r - 1, span + new, below)
+            capped.difference_update(hot)
             for lid in up:
                 depth[lid] -= 1
 
     if lo < hi:
-        yield from node(d - 1, [0], 0)
+        a, stop = clip(d - 1, 0)
+        # every single row passes under the zero span, since t >= 1
+        tops = [(j * size[d - 1], ws, frozenset([line_of[ws[0]]]))
+                for j, ws in enumerate(row_values(d - 1, a, stop), a)]
+        yield from (node(d - 1, [0], tops) if d > 1
+                    else (base for base, _, _ in tops))
 
 
 def _line_test_applies(tower: FieldTower, k: int, h: int, t: int) -> bool:
