@@ -38,7 +38,7 @@ they hold under ``python -O`` too.
 from __future__ import annotations
 
 import bisect
-import contextlib
+import ctypes
 import functools
 import itertools
 import math
@@ -421,7 +421,11 @@ def _scan_unit(tower: FieldTower, k: int, h: int, t: int,
                stop_at_first: bool) -> Tuple[int, Optional[Rows]]:
     """Scan one unit, returning (visited, witness rows or None).  Every
     candidate, or with a line table every survivor of the line filter, goes
-    through ``is_evasive``; past the first witness fills are only counted."""
+    through ``is_evasive``; past the first witness fills are only counted.
+    A unit of a stopped pool returns at once; the driver reads none of its
+    results."""
+    if _stopped():
+        return 0, None
     ambient, q = k * tower.m, tower.q
     if line_test is None:
         candidates = enumerate(walk_fills(pivots, ambient, q, lo, hi), lo)
@@ -431,6 +435,8 @@ def _scan_unit(tower: FieldTower, k: int, h: int, t: int,
                       for fill in _line_survivors(line_test, t, pivots,
                                                   lo, hi))
     for fill, rows in candidates:
+        if _stopped():
+            return 0, None
         sub = Subspace(tower, "F", ambient, rows, pivots)
         if is_evasive(tower, k, sub, h, t)[0]:
             return (fill - lo + 1 if stop_at_first else hi - lo), sub.rows
@@ -438,12 +444,19 @@ def _scan_unit(tower: FieldTower, k: int, h: int, t: int,
 
 
 # The unit worker of the running scan, (pivots, lo, hi) -> (visited, witness
-# rows or None).  It is set before the pool forks, so workers inherit it.
+# rows or None), and while a pool runs it, the pool's shared stop flag.  Both
+# are set before the pool forks, so workers inherit them.
 _UNIT_WORKER: Optional[Callable] = None
+_STOP: Optional[ctypes.c_bool] = None
 
 
 def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
     return _UNIT_WORKER(*unit)
+
+
+def _stopped() -> bool:
+    """Has the driver left the running pool?"""
+    return _STOP is not None and _STOP.value
 
 
 def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
@@ -475,7 +488,7 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
     t < min(h, 1) (an E-line, or for h = 0 the zero E-subspace, already
     meets S in more than t), builds no unit: it is counted per pivot set,
     and the count is checked against the node budget alone."""
-    global _UNIT_WORKER
+    global _UNIT_WORKER, _STOP
     if not 0 <= shard_index < shards:
         raise ValueError(f"need shards >= 1 and 0 <= shard_index < shards, "
                          f"got shards={shards}, shard_index={shard_index}")
@@ -496,15 +509,11 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
              else None)
     _UNIT_WORKER = functools.partial(_scan_unit, tower, k, h, t, table,
                                      stop_at_first=stop_at_first)
-    visited_total = 0
-    witness: Optional[Subspace] = None
-    with contextlib.ExitStack() as stack:
-        if threads > 1 and len(head) > 1:
-            pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(threads))
-            results = pool.imap(_run_unit, units, chunksize=1)
-        else:
-            results = map(_run_unit, units)
+
+    def sweep(results: Iterator[Tuple[int, Optional[Rows]]],
+              ) -> Optional[ScanResult]:
+        visited_total = 0
+        witness: Optional[Subspace] = None
         for visited, rows in results:
             visited_total += visited
             if rows is not None and witness is None:
@@ -514,7 +523,26 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
             if (budget is not None and visited_total > budget or
                     deadline is not None and time.monotonic() > deadline):
                 return None
-    return ScanResult(d, visited_total, witness)
+        return ScanResult(d, visited_total, witness)
+
+    if threads < 2 or len(head) < 2:
+        return sweep(map(_run_unit, units))
+    # The pool is left by its stop flag, close() and join(), never by
+    # terminate(): that kills workers, and one killed while it holds the
+    # result queue's lock blocks the pool's task handler for good.  Once
+    # the flag is up, no unit is queued, queued units return at once and a
+    # running unit stops at its next candidate.
+    stop = _STOP = multiprocessing.RawValue(ctypes.c_bool, False)
+    pool = multiprocessing.get_context("fork").Pool(threads)
+    try:
+        res = sweep(pool.imap(_run_unit, itertools.takewhile(
+            lambda _: not stop.value, units), chunksize=1))
+    finally:
+        stop.value = True
+        _STOP = None
+        pool.close()
+    pool.join()
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing.pool
 import os
 import pathlib
 import random
@@ -100,6 +101,29 @@ def test_scan_dimension_threads_deterministic(tower, k, r, d, stop, shards,
             for threads in (1, 2))
     assert (a.visited, a.witness) == (b.visited, b.witness)
     assert (a.witness is not None) == found
+
+
+def _no_terminate(pool):
+    raise AssertionError("the pool was left by terminate()")
+
+
+@pytest.mark.parametrize("d, stop, shards, index, budget", [
+    (6, True, 1, 0, None),   # leaves at the first witness
+    (5, True, 1, 0, 1000),   # leaves once the first unit spends the budget
+    (5, False, 9, 4, None),  # leaves after the last unit
+], ids=["witness", "budget", "full-sweep"])
+def test_pool_is_left_without_terminate(monkeypatch, d, stop, shards, index,
+                                        budget):
+    # terminate() kills workers, and one killed while it holds the result
+    # queue's lock hangs the pool; the driver stops its units by a shared
+    # flag and waits for them with close() and join()
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", _no_terminate)
+    one, two = (scan_dimension(GF8, 3, 1, d, stop_at_first=stop,
+                               threads=threads, shards=shards,
+                               shard_index=index, budget=budget)
+                for threads in (1, 2))
+    assert one == two
+    assert (one is None) == (budget is not None)
 
 
 def test_unit_list_partitions_exactly():
@@ -504,6 +528,23 @@ def test_line_survivors_match_the_counting_kernel(tower, k):
                     assert got == [f for f in want if lo <= f < hi], \
                         (t, pivots, lo, hi)
     assert passed > 0 and failed > 0
+
+
+@pytest.mark.parametrize("tower, k, d, t, total", [
+    (GF8, 3, 6, 2, 686_784),
+    (make_field(2, 3, ext_poly=(1, 0, 1, 1)), 3, 6, 2, 686_784),
+    (GF9, 3, 3, 1, 30_240),
+    (GF16_OVER_GF4, 3, 3, 1, 353_600),
+    (make_field(3, 3), 2, 3, 1, 19_656),
+], ids=["gf8-d6", "gf8-ext1011-d6", "gf9-d3", "gf16-over-gf4-d3",
+        "gf27-d3"])
+def test_line_survivor_totals_of_whole_dimensions(tower, k, d, t, total):
+    # the filter's survivors over every unit of a dimension, as the counting
+    # kernel found them: nodes with many passing children, odd p and e = 2
+    table = search._line_table(tower, k)
+    assert sum(sum(1 for _ in search._line_survivors(table, t, pivots,
+                                                     lo, hi))
+               for pivots, lo, hi in _units(k * tower.m, d, tower.q)) == total
 
 
 @pytest.mark.parametrize("tower, k, h, t, d, stop, shards, index", [

@@ -244,3 +244,28 @@ def test_only_the_cli_catches_budget_exceeded(path):
     lines = sorted(node.lineno for node in caught
                    if _names(node)["BudgetExceeded"])
     assert lines == [], f"{path.name}: BudgetExceeded caught on lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_pools_are_left_by_close_and_join(path):
+    # leaving a pool's ``with`` block calls terminate(), which kills the
+    # workers; one killed while it holds the result queue's lock blocks the
+    # pool's task handler for good.  A pool is left by its stop flag,
+    # close() and join(), so no module enters a Pool as a context manager
+    # (``with`` or ``enter_context``) or calls ``.terminate()``
+    tree = ast.parse(path.read_text(), filename=str(path))
+    entered = [(node.lineno, item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, (ast.With, ast.AsyncWith))
+               for item in node.items]
+    entered += [(node.lineno, arg) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "enter_context" for arg in node.args]
+    lines = {line for line, expr in entered if _names(expr)["Pool"]}
+    lines |= {node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "terminate"}
+    assert sorted(lines) == [], \
+        f"{path.name}: a pool entered or terminated on lines {sorted(lines)}"
