@@ -330,7 +330,7 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
         live = []
         for j, xs in enumerate(listed, a):
             x = xs[0]
-            seen, edge = [], []
+            edge, rest = [], []
             for u in span:
                 if p == 2:
                     lid = line_of[x ^ u]
@@ -341,9 +341,10 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                     edge.append(lid)
                 elif depth[lid] == t:
                     break
-                seen.append(lid)
+                else:
+                    rest.append(lid)
             else:
-                live.append((j, frozenset(edge), xs, seen))
+                live.append((j, frozenset(edge), xs, rest))
         for base, ws, up in kids:
             if lo <= base and base + size[r] <= hi:
                 tried = live
@@ -355,7 +356,7 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
             # a new element fails on a line at depth t, or in up at t - 1
             near = capped.union(up)
             passing = []
-            for j, edge, xs, seen in tried:
+            for j, edge, xs, rest in tried:
                 if up.isdisjoint(edge):
                     x = xs[0]
                     if p == 2:
@@ -364,7 +365,7 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                                     depth[lid] >= t - 1:
                                 break
                         else:
-                            passing.append((j, xs, seen))
+                            passing.append((j, edge, xs, rest))
                     else:
                         for u in new:
                             u += x
@@ -373,27 +374,27 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
                                 ) in near and depth[lid] >= t - 1:
                                 break
                         else:
-                            passing.append((j, xs, seen))
+                            passing.append((j, edge, xs, rest))
             if not passing:
                 continue
             if r == 1:
-                yield from [base + j for j, _, _ in passing]
+                yield from [base + j for j, _, _, _ in passing]
                 continue
             for lid in up:
                 depth[lid] += 1
             hot = [lid for lid in up if depth[lid] == t]
             capped.update(hot)
             below = []
-            for j, xs, seen in passing:
+            for j, edge, xs, rest in passing:
                 # the kid's up: the lines of x + A and of its new elements
                 x = xs[0]
                 if p == 2:
-                    seen = seen + [line_of[x ^ u] for u in new]
+                    rest = rest + [line_of[x ^ u] for u in new]
                 else:
-                    seen = seen + [line_of[x + u - p * (((x + u + carry)
+                    rest = rest + [line_of[x + u - p * (((x + u + carry)
                                                          >> top_bit) & ones)]
                                    for u in new]
-                below.append((base + j * size[r - 1], xs, frozenset(seen)))
+                below.append((base + j * size[r - 1], xs, edge.union(rest)))
             yield from node(r - 1, span + new, below)
             capped.difference_update(hot)
             for lid in up:
