@@ -15,13 +15,16 @@ candidate.  When h >= 1, t < m and F^(km) fits a line table, an E-line
 filter on packed rows runs first: every E-line lies in some h-dimensional
 E-subspace, so a candidate fails when it meets some E-line in F-dimension
 more than t.  The test is hereditary, so the filter is a recursion with
-one node per RREF row, highest row first, and a node tests its row's
-values by the dimension lemma: adding a row w to the span A of the rows
-above raises dim_F(A ∩ L) by at most 1 on every E-line L, and exactly on
-the lines of the elements w + s, s in A.  So w fails iff one of those
-lines already meets A in dimension t, one line lookup per element of A.
-A row value that fails drops every fill under it; the dropped fills still
-count towards the unit's visited total.
+one node per RREF row, highest row first, and rows are tested by the
+dimension lemma: adding a row w to the span A of the rows above raises
+dim_F(A ∩ L) by at most 1 on every E-line L, and exactly on the lines of
+the elements w + s, s in A.  So w fails iff one of those lines already
+meets A in dimension t.  A node tests the next row's values against its
+own span A once, for all of its passing values w together; under each w
+it then looks up only the new elements of A + F * w, those off A, since
+the elements of A are the same for every w.  A row value that fails
+drops every fill under it; the dropped fills still count towards the
+unit's visited total.
 
 Work is split into units (pivot set, fill range).  One result loop
 consumes the output of one unit worker, mapped in-process for a single
@@ -38,15 +41,14 @@ they hold under ``python -O`` too.
 from __future__ import annotations
 
 import bisect
-import ctypes
 import functools
 import itertools
 import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from .combinatorics import (
     CountReport,
@@ -228,11 +230,13 @@ def _line_survivors(table: _LineTable, t: int, pivots: Tuple[int, ...],
     ``edge``.  Under w, a line at depth t - 1 reaches t exactly when it is
     in ``up``.  So x fails under w iff ``up`` meets its edge, or a line of
     a new element x + lambda * w + s is capped, or in ``up`` at depth
-    t - 1: each w looks up only x's new elements, not the half of B that
-    its siblings share.  Only a w with a row below raises ``depth`` on
-    ``up``, while that row runs; the last row's passing values are yielded
-    by the loop that tests them.  Needs t >= 1: ``_scan_evasive`` settles
-    t <= 0 without a unit.
+    t - 1: under each w, x looks up only its new elements, not the
+    elements of A, which every sibling of w shares.  That test reads
+    ``up`` beside the depths, so w raises ``depth`` on ``up`` only when
+    its passing values have a row below, while that row runs; the last
+    row's passing values are yielded by the loop that tests them, with
+    no node of their own.  Needs t >= 1: ``_scan_evasive`` settles t <= 0
+    without a unit.
     """
     tower = table.tower
     p, e, m, q = tower.p, tower.e, tower.m, tower.q
@@ -448,7 +452,7 @@ def _scan_unit(tower: FieldTower, k: int, h: int, t: int,
 # rows or None), and while a pool runs it, the pool's shared stop flag.  Both
 # are set before the pool forks, so workers inherit them.
 _UNIT_WORKER: Optional[Callable] = None
-_STOP: Optional[ctypes.c_bool] = None
+_STOP: Optional[Any] = None
 
 
 def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
@@ -457,7 +461,7 @@ def _run_unit(unit) -> Tuple[int, Optional[Rows]]:
 
 def _stopped() -> bool:
     """Has the driver left the running pool?"""
-    return _STOP is not None and _STOP.value
+    return _STOP is not None and _STOP.value == 1
 
 
 def scan_dimension(tower: FieldTower, k: int, r: int, d: int,
@@ -533,13 +537,13 @@ def _scan_evasive(tower: FieldTower, k: int, h: int, t: int, d: int,
     # result queue's lock blocks the pool's task handler for good.  Once
     # the flag is up, no unit is queued, queued units return at once and a
     # running unit stops at its next candidate.
-    stop = _STOP = multiprocessing.RawValue(ctypes.c_bool, False)
+    stop = _STOP = multiprocessing.RawValue("b", 0)
     pool = multiprocessing.get_context("fork").Pool(threads)
     try:
         res = sweep(pool.imap(_run_unit, itertools.takewhile(
-            lambda _: not stop.value, units), chunksize=1))
+            lambda _: stop.value == 0, units), chunksize=1))
     finally:
-        stop.value = True
+        stop.value = 1
         _STOP = None
         pool.close()
     pool.join()

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -118,10 +119,15 @@ def test_pool_is_left_without_terminate(monkeypatch, d, stop, shards, index,
     # queue's lock hangs the pool; the driver stops its units by a shared
     # flag and waits for them with close() and join()
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", _no_terminate)
-    one, two = (scan_dimension(GF8, 3, 1, d, stop_at_first=stop,
-                               threads=threads, shards=shards,
-                               shard_index=index, budget=budget)
-                for threads in (1, 2))
+    results = []
+    sweeps = threading.Thread(daemon=True, target=lambda: results.extend(
+        scan_dimension(GF8, 3, 1, d, stop_at_first=stop, threads=threads,
+                       shards=shards, shard_index=index, budget=budget)
+        for threads in (1, 2)))
+    sweeps.start()
+    sweeps.join(timeout=120)
+    assert not sweeps.is_alive(), "a sweep did not leave its pool"
+    one, two = results
     assert one == two
     assert (one is None) == (budget is not None)
 
