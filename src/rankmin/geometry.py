@@ -9,6 +9,7 @@ the one-dimensional-meeting characterization are kept as oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -179,6 +180,7 @@ def _e_line(tower: FieldTower, z: Sequence[int]) -> Subspace:
     return flatten_subspace(Subspace(tower, "E", len(z), (row,), (p,)))
 
 
+@functools.lru_cache(maxsize=256)
 def avoid_complement(tower: FieldTower, k: int, h: Subspace,
                      t: int) -> Subspace:
     """An E-subspace V of E^[k] with dim_E(V) = k - t and H cap V = {0},
@@ -186,6 +188,10 @@ def avoid_complement(tower: FieldTower, k: int, h: Subspace,
 
     Greedy: each step adds the smallest encoded z whose E-line meets
     H + V only at 0.
+
+    V is a pure function of (tower, k, H, t), so the last 256 answers are
+    kept: a census refutes many codes whose column spans share a few H.
+    The postcondition runs on every miss; a hit returns a V that passed it.
     """
     m = tower.m
     if h.level_name != "F" or h.ambient != k * m:

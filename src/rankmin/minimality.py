@@ -216,10 +216,11 @@ def _refute_r_minimal(code: RankCode, r: int) -> dict:
             b = msub.dual()  # Bdd = M
             w_code = code.subcode(b)
             _, d_code = max_subcode_weight(w_code, r)
-            if chi_code(d_code) != chi_code(w_code):
+            chi_w = chi_code(w_code)
+            if chi_code(d_code) != chi_w:
                 raise CertificateError("refuting pair has unequal supports")
             return {"w": w_code.to_json(), "d": d_code.to_json(),
-                    "chi_dim": chi_code(w_code).dim}
+                    "chi_dim": chi_w.dim}
     raise CertificateError("no refutation found for a false verdict")
 
 

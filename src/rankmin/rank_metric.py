@@ -62,8 +62,11 @@ class RankCode:
             raise AmbientMismatch(f"B must be an E-subspace of E^{self.k}")
 
     def subcode(self, b: Subspace) -> "RankCode":
-        """The subcode {gamma G | gamma in B} for B <= E^k."""
+        """The subcode {gamma G | gamma in B} for B <= E^k; the code itself
+        when dim B = k, since then B = E^k."""
         self.check_message_space(b)
+        if b.dim == self.k:
+            return self
         return RankCode(self.tower, self.n,
                         [self.codeword(g) for g in b.rows])
 

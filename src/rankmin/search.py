@@ -68,7 +68,7 @@ from .linalg import (
     walk_fills,
 )
 from .minimality import constant_weight_class, is_r_minimal
-from .rank_metric import RankCode, weight
+from .rank_metric import RankCode, column_support, weight
 
 SCHEMA_VERSION = 1
 _FILL_CHUNK = 1 << 16
@@ -671,7 +671,21 @@ def census_codes(tower: FieldTower, n: int, k: int,
                  constant_weight_r: Optional[int] = None,
                  budget: Optional[int] = None) -> CountReport:
     """Enumerate every [n,k] code, counting r-minimal codes, the weight
-    distribution, and optionally constant-weight codes."""
+    distribution, and optionally constant-weight codes.
+
+    The constant-weight class reads only the column span U = <cols(G)>_F:
+    the weight of the subcode B G is dim U - dim(U cap Bdd), so whether all
+    r-dimensional subcodes share one weight is a property of U, and it is
+    decided once per distinct U.  Codes share few spans: an RREF generator
+    has unit columns at its pivots, so U contains F^k.  The r-minimality
+    verdict is also a property of U, but a false one carries a refutation
+    (W, D) made of the code's own subcodes, so it is decided and refuted
+    code by code.
+    """
+    if n < 0:
+        raise ValueError(f"n={n} must be nonnegative")
+    if k < 0:
+        raise ValueError(f"k={k} must be nonnegative")
     if r is not None and r < 0:
         raise ValueError("r must be nonnegative")
     if constant_weight_r is not None and not 1 <= constant_weight_r < k:
@@ -683,6 +697,7 @@ def census_codes(tower: FieldTower, n: int, k: int,
     m = tower.m
     seen = minimal = constant = 0
     weight_dist: Dict[int, int] = {}
+    constant_by_span: Dict[Subspace, bool] = {}
     for sub in enumerate_subspaces(tower, "E", n, k):
         code = RankCode(tower, n, sub.rows)
         seen += 1
@@ -690,9 +705,12 @@ def census_codes(tower: FieldTower, n: int, k: int,
         weight_dist[wt] = weight_dist.get(wt, 0) + 1
         if r is not None and is_r_minimal(code, r).verdict:
             minimal += 1
-        if (constant_weight_r is not None and
-                constant_weight_class(code, constant_weight_r).is_constant):
-            constant += 1
+        if constant_weight_r is not None:
+            u = column_support(code)
+            if u not in constant_by_span:
+                constant_by_span[u] = constant_weight_class(
+                    code, constant_weight_r).is_constant
+            constant += constant_by_span[u]
     if seen != total:
         raise CertificateError(f"census visited {seen} codes, expected {total}")
     report = CountReport(

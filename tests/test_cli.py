@@ -493,6 +493,9 @@ F_SUB = {"level": "F", "ambient": 4, "rref_basis": [[1, 0, 0, 0]]}
 # k < 1 is blamed on k, not on an r that no k < 1 admits
 BAD_K_ARGV = ["omega", "--field", "p=2,e=1,m=3", "--k", "-1", "--r", "0",
               "--scan-dim", "0"]
+# a census size below 0 is blamed on its own option, not on qbinom's names
+BAD_CENSUS_K_ARGV = ["census", "--field", GF4, "--n", "3", "--k", "-1"]
+BAD_CENSUS_N_ARGV = ["census", "--field", GF4, "--n", "-1", "--k", "2"]
 DEEP_JSON = '{"a": ' + "[" * 20000 + "]" * 20000 + "}"
 # a directory where a file is read or written
 A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
@@ -593,13 +596,17 @@ A_DIRECTORY = str(pathlib.Path(__file__).resolve().parent)
     ["count", "--q", "2", "--m", "2", "--n", "1", "--r", "1"],  # n < r + 1
     ["bounds", "--m", "0", "--k", "2", "--r", "1"],
     ["omega", "--field", "p=2,m=2", "--k", "2", "--r", "2"],  # k < r + 1
+    BAD_CENSUS_K_ARGV,
+    BAD_CENSUS_N_ARGV,
 ])
 def test_malformed_wire_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
-    if argv is BAD_K_ARGV:
+    if argv is BAD_K_ARGV or argv is BAD_CENSUS_K_ARGV:
         assert "k=-1" in err
+    if argv is BAD_CENSUS_N_ARGV:
+        assert "n=-1" in err
 
 
 def test_deep_json_from_a_file_or_stdin_exits_2(capsys, monkeypatch,

@@ -257,6 +257,49 @@ EVASIVE_MAX_PINNED = [
 ]
 
 
+GF8_OTHER = "p=2,e=1,m=3,ext=1,0,1,1"
+GF8_BASIS = "p=2,e=1,m=3,ext=1,1,0,1,basis=1,3,7"
+
+
+def _census(field, n, k, r):
+    return ["census", "--field", field, "--n", str(n), "--k", str(k),
+            "--r", str(r), "--constant-weight", str(r), "--json"]
+
+
+# censuses with constant weight on both GF(8) moduli, a custom basis, k = 3
+# at r = 1 and r = 2, and e = 2, and a false grw verdict at k = r + 1,
+# whose refutation takes the whole code as W; pinned before the census
+# decided each column span's constant-weight class once and before a
+# subcode of all of E^k became the code itself
+CENSUS_ARGVS = [
+    _census(GF8, 3, 2, 1),
+    _census(GF8_OTHER, 3, 2, 1),
+    _census(GF8_BASIS, 3, 2, 1),
+    _census(GF4, 4, 3, 1),
+    _census(GF4, 4, 3, 2),
+    _census(GF16_4, 3, 2, 1),
+    ["minimal", "--code", _code(GF8, [[1, 0, 2], [0, 1, 4]]), "--r", "1",
+     "--method", "grw", "--json"],
+]
+
+CENSUS_PINNED = [
+    ("bc0db47dce228a013f745d358a672790dd3540e8d717d36f568f530d99aef1f4",
+     None, 0),
+    ("bc0db47dce228a013f745d358a672790dd3540e8d717d36f568f530d99aef1f4",
+     None, 0),
+    ("bc0db47dce228a013f745d358a672790dd3540e8d717d36f568f530d99aef1f4",
+     None, 0),
+    ("624f8941cf5067d8586463f495d370a27eb602748c5d3d847f44e6857659dad3",
+     None, 0),
+    ("c8131e2df287161dda7a439d3cea3e67ea30404df99c56b1739196bad4cef561",
+     None, 0),
+    ("c0b7b4dd672a8e5386a6196f1e01bf7931cd17de9041b6194c96a796daa2d604",
+     None, 0),
+    ("4ba198de135788547e7ecb13b9c6b8b79a068f54d40d858643cf9957aec0c5f7",
+     None, 0),
+]
+
+
 # the benchmark's verify-mix argvs: every suite at 60 trials, suite seed 0;
 # pinned before grw and the prop21 cutting route stopped their sweeps at a
 # dimension bound, and each exits 0
@@ -338,13 +381,17 @@ def _id(argv):
 def test_every_argv_pinned():
     assert len(PINNED) == len(ARGVS)
     assert len(EVASIVE_MAX_PINNED) == len(EVASIVE_MAX_ARGVS)
+    assert len(CENSUS_PINNED) == len(CENSUS_ARGVS)
     assert sorted(VERIFY_MIX_PINNED) == sorted(suite_names())
+
+
+ALL_ARGVS = ARGVS + EVASIVE_MAX_ARGVS + CENSUS_ARGVS
 
 
 @pytest.mark.parametrize(
     "argv, pinned",
-    zip(ARGVS + EVASIVE_MAX_ARGVS, PINNED + EVASIVE_MAX_PINNED),
-    ids=[f"{i}-{_id(a)}" for i, a in enumerate(ARGVS + EVASIVE_MAX_ARGVS)])
+    zip(ALL_ARGVS, PINNED + EVASIVE_MAX_PINNED + CENSUS_PINNED),
+    ids=[f"{i}-{_id(a)}" for i, a in enumerate(ALL_ARGVS)])
 def test_contract(argv, pinned, tmp_path, capsys):
     assert contract_result(argv, str(tmp_path / "cert.json"), capsys) \
         == pinned

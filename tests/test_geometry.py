@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rankmin import geometry
 from rankmin.fields import int_to_digits, make_field
 from rankmin.geometry import (
     PreconditionViolated,
@@ -13,6 +14,7 @@ from rankmin.geometry import (
     linearity_index,
 )
 from rankmin.linalg import (
+    CertificateError,
     Subspace,
     enumerate_subspaces,
     flatten_subspace,
@@ -330,6 +332,42 @@ def test_avoid_complement_precondition_errors():
     h = Subspace.full(GF4, "F", 4)
     with pytest.raises(PreconditionViolated):
         avoid_complement(GF4, 2, h, 1)  # dim 4 > m*t = 2
+
+
+@pytest.mark.parametrize("tower, k", [
+    (GF4, 3), (GF8, 2), (GF9, 2), (GF16_4, 2)],
+    ids=["GF4", "GF8", "GF9", "GF16-GF4"])
+def test_avoid_complement_cache_returns_the_greedy_answer(tower, k):
+    # the cache is bounded, and a hit, also on an equal H built anew,
+    # returns what the uncached greedy builds
+    assert avoid_complement.cache_info().maxsize is not None
+    rng = random.Random(tower.order * 10 + k)
+    m = tower.m
+    for _ in range(12):
+        t = rng.randrange(0, k + 1)
+        h = random_fsub(tower, k, rng.randrange(0, m * t + 1), rng)
+        want = avoid_complement.__wrapped__(tower, k, h, t)
+        again = Subspace.span(tower, "F", k * m, h.rows)
+        for key in (h, h, again):
+            got = avoid_complement(tower, k, key, t)
+            assert (got, got.rows, got.pivots) \
+                == (want, want.rows, want.pivots)
+        hits = avoid_complement.cache_info().hits
+        avoid_complement(tower, k, again, t)
+        assert avoid_complement.cache_info().hits == hits + 1
+
+
+def test_avoid_complement_checks_every_miss(monkeypatch):
+    # a greedy step that picks a vector on H must fail the postcondition,
+    # so a wrong V is never computed, let alone kept
+    hline = flatten_subspace(Subspace.span(GF4, "E", 2, [(1, 0)]))
+    monkeypatch.setattr(geometry, "_first_avoiding",
+                        lambda tower, k, meets: (1, 0))
+    avoid_complement.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CertificateError, match="meets H"):
+            avoid_complement(GF4, 2, hline, 1)
+    assert avoid_complement.cache_info().currsize == 0
 
 
 def first_avoiding_oracle(tower, k, meets):

@@ -289,6 +289,23 @@ def test_max_subcode_weight_checks_its_witness(monkeypatch):
         max_subcode_weight(C32, s)
 
 
+def test_subcode_of_all_of_e_k_is_the_code():
+    # B = E^k gives the code itself, which keeps its column span; a proper
+    # B still gives a new code, and B is checked before either
+    rng = random.Random(67)
+    for tower in (GF4, GF8):
+        for k in (0, 1, 2, 3):
+            code = random_code(tower, 3, k, rng)
+            full = Subspace.full(tower, "E", code.k)
+            assert code.subcode(full) is code
+            assert RankCode(tower, code.n, [code.codeword(g)
+                                            for g in full.rows]) == code
+    line = C32.subcode(Subspace.span(GF4, "E", 2, [(1, 1)]))
+    assert line is not C32 and line.k == 1
+    with pytest.raises(linalg.AmbientMismatch):
+        C32.subcode(Subspace.full(GF4, "F", 2))
+
+
 def test_full_support_codeword_when_short():
     rng = random.Random(61)
     for tower in (GF4, GF8):

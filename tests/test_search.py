@@ -18,6 +18,8 @@ from rankmin.fields import _row_kernel, int_to_digits, make_field
 from rankmin.geometry import cutting_evasive_params, is_cutting, is_evasive
 from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
                             mat_vec, unflatten_vector, walk_fills)
+from rankmin.minimality import constant_weight_class, is_r_minimal
+from rankmin.rank_metric import RankCode, column_support, weight
 from rankmin.search import (
     BudgetExceeded,
     _units,
@@ -847,3 +849,53 @@ def test_census_constant_weight_matches_full_weight():
     wd = rep.counts["weight_distribution"]
     assert rep.counts["constant_weight"] == wd.get(4, 0)
     assert rep.counts["constant_weight"] > 0
+
+
+def _census_counts_code_by_code(tower, n, k, r):
+    """Oracle: the census loop as it ran before the constant-weight class
+    was decided once per column span, every question asked of every code.
+    Returns its counts and the distinct column spans it met."""
+    seen = minimal = constant = 0
+    weight_dist = {}
+    spans = set()
+    for sub in enumerate_subspaces(tower, "E", n, k):
+        code = RankCode(tower, n, sub.rows)
+        seen += 1
+        wt = weight(code)
+        weight_dist[wt] = weight_dist.get(wt, 0) + 1
+        if is_r_minimal(code, r).verdict:
+            minimal += 1
+        if constant_weight_class(code, r).is_constant:
+            constant += 1
+        spans.add(column_support(code))
+    return {"total": seen, "weight_distribution": weight_dist,
+            "r_minimal": minimal, "not_r_minimal": seen - minimal,
+            "constant_weight": constant}, spans
+
+
+@pytest.mark.parametrize("tower, n, k, r", [
+    (GF4, 4, 2, 1), (GF4, 5, 2, 1), (GF4, 4, 3, 1), (GF4, 4, 3, 2),
+    (GF8, 4, 2, 1), (make_field(2, 3, ext_poly=(1, 0, 1, 1)), 4, 2, 1),
+    (make_field(2, 3, basis=[1, 3, 7]), 4, 2, 1), (GF9, 3, 2, 1),
+    (GF16_OVER_GF4, 3, 2, 1)],
+    ids=["gf4-n4", "gf4-n5", "gf4-k3-r1", "gf4-k3-r2", "gf8", "gf8-other",
+         "gf8-basis", "gf9", "gf16-over-gf4"])
+def test_census_agrees_with_the_code_by_code_census(monkeypatch, tower, n,
+                                                    k, r):
+    # census_codes asks constant_weight_class once per distinct column
+    # span U, and must count what the code-by-code loop counts
+    want, spans = _census_counts_code_by_code(tower, n, k, r)
+    asked = []
+    real = search.constant_weight_class
+
+    def spy(code, cw_r):
+        asked.append(column_support(code))
+        return real(code, cw_r)
+
+    monkeypatch.setattr(search, "constant_weight_class", spy)
+    rep = census_codes(tower, n, k, r=r, constant_weight_r=r)
+    assert rep.counts == want
+    assert len(asked) == len(set(asked)) and set(asked) == spans
+    if (tower.order, n, k) == (8, 4, 2):
+        # census-q8's shape: U = F^2 + T with T in F^6 / F^2 of dim <= 2
+        assert (rep.counts["total"], len(asked)) == (4745, 51)
