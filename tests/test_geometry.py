@@ -358,8 +358,8 @@ def test_avoid_complement_cache_returns_the_greedy_answer(tower, k):
 
 
 def test_avoid_complement_checks_every_miss(monkeypatch):
-    # a greedy step that picks a vector on H must fail the postcondition,
-    # so a wrong V is never computed, let alone kept
+    # a greedy step that picks a vector on H must fail the postcondition
+    # on every call, so a wrong V is never returned or kept
     hline = flatten_subspace(Subspace.span(GF4, "E", 2, [(1, 0)]))
     monkeypatch.setattr(geometry, "_first_avoiding",
                         lambda tower, k, meets: (1, 0))
