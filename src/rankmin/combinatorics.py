@@ -115,6 +115,21 @@ def count_r_minimal(q: int, m: int, n: int, r: int) -> int:
     return total // denom
 
 
+def count_e_spanning(q: int, m: int, k: int, d: int) -> int:
+    """A_d(k): the d-dimensional F-subspaces of F^(km) = E^k, F = GF(q),
+    whose E-span is all of E^k.
+
+    Each F-subspace E-spans exactly one E-subspace, and E^k has
+    qbinom(q^m, k, j) of dimension j, so qbinom(q, km, d) is the sum over
+    j of qbinom(q^m, k, j) A_d(j); this solves for A_d(j), j = 0 .. k.
+    """
+    spanning: List[int] = []
+    for j in range(k + 1):
+        spanning.append(qbinom(q, j * m, d) - sum(
+            qbinom(q**m, j, i) * spanning[i] for i in range(j)))
+    return spanning[k]
+
+
 # ---------------------------------------------------------------------------
 # Evasive-dimension certification machinery.
 # ---------------------------------------------------------------------------

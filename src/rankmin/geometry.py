@@ -190,7 +190,9 @@ def avoid_complement(tower: FieldTower, k: int, h: Subspace,
     H + V only at 0.
 
     V is a pure function of (tower, k, H, t), so the last 256 answers are
-    kept: a census refutes many codes whose column spans share a few H.
+    kept: the witnesses of ``max_subcode_weight`` and the refutations of
+    ``is_r_minimal`` that the property suites build ask for the same few
+    H again and again.
     The postcondition runs on every miss; a hit returns a V that passed it.
     """
     m = tower.m

@@ -32,7 +32,9 @@ thread or by a fork pool whose workers inherit the scan context; results
 merge by sum / earliest-witness, so the outcome is independent of worker
 count and scheduling.  No symmetry reduction is applied: the total of
 every exhausted dimension, in either search, is a raw subspace count and
-must equal the q-binomial.
+must equal the q-binomial.  A census visits no code: it sums over the
+column spans that contain F^k, weighted by the lemma ``census_codes``
+states, and checks each dimension's sum against a closed form.
 
 Checks that guard a certified answer raise CertificateError explicitly, so
 they hold under ``python -O`` too.
@@ -47,15 +49,18 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
                     Optional, Sequence, Set, Tuple)
 
 from .combinatorics import (
     CountReport,
+    count_e_spanning,
     count_r_minimal,
     evasive_bound_certifies,
     omega_bounds,
     qbinom,
+    qdelta,
 )
 from .fields import FieldTower, _row_kernel, int_to_digits
 from .geometry import cutting_evasive_params, is_cutting, is_evasive
@@ -64,11 +69,11 @@ from .linalg import (
     CertificateError,
     Subspace,
     enumerate_subspaces,
+    flatten_vector,
     free_cells,
+    meet_dims,
     walk_fills,
 )
-from .minimality import constant_weight_class, is_r_minimal
-from .rank_metric import RankCode, column_support, weight
 
 SCHEMA_VERSION = 1
 _FILL_CHUNK = 1 << 16
@@ -665,22 +670,73 @@ def _exhausted(tower: FieldTower, k: int, res: ScanResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _frame_spans(tower: FieldTower, k: int, top: int) -> Iterator[Subspace]:
+    """Every F-subspace U of F^(km) with F^k <= U and dim U <= top, once,
+    by dimension: U = F^k + T, T an RREF subspace of the kept columns.
+
+    F^k is spanned by the flattened e_b * 1.  Each block drops its first
+    column where the coordinates of 1 are nonzero (column b*m in the
+    polynomial basis).  F^k meets the kept columns' span K only at 0, and
+    together they span F^(km), so U -> U cap K maps the U >= F^k one to one
+    onto the subspaces of K.
+    """
+    m = tower.m
+    skip = next(j for j, c in enumerate(tower.to_coords(1)) if c)
+    frame = [flatten_vector(tower, [int(b == c) for c in range(k)])
+             for b in range(k)]
+    kept = [b * m + j for b in range(k) for j in range(m) if j != skip]
+    for d in range(k, top + 1):
+        for t in enumerate_subspaces(tower, "F", len(kept), d - k):
+            rows = list(frame)
+            for row in t.rows:
+                vec = [0] * (k * m)
+                for col, x in zip(kept, row):
+                    vec[col] = x
+                rows.append(vec)
+            yield Subspace.span(tower, "F", k * m, rows)
+
+
+def _basis_count(tower: FieldTower, meets: Sequence[Sequence[int]]) -> int:
+    """beta(U), the ordered E-bases of E^k inside U, where meets[h] lists
+    dim_F(U cap W) over the h-dimensional E-subspaces W, h = 0 .. k.
+
+    U^k holds q^(k dim(U cap W)) tuples inside W; Moebius inversion over
+    the subspace lattice of E^k, mu(W, E^k) = (-1)^j Q^(j(j-1)/2) with
+    j = k - dim W, keeps those whose E-span is E^k.  It is 1 at k = 0.
+    """
+    k, q, big_q = len(meets) - 1, tower.q, tower.order
+    return sum((-1) ** (k - h) * big_q ** ((k - h) * (k - h - 1) // 2)
+               * sum(q ** (k * meet) for meet in row)
+               for h, row in enumerate(meets))
+
+
 def census_codes(tower: FieldTower, n: int, k: int,
                  r: Optional[int] = None,
                  weight_of_interest: Optional[int] = None,
                  constant_weight_r: Optional[int] = None,
                  budget: Optional[int] = None) -> CountReport:
-    """Enumerate every [n,k] code, counting r-minimal codes, the weight
-    distribution, and optionally constant-weight codes.
+    """Count the [n,k] codes, by weight, the r-minimal ones and optionally
+    those whose r-dimensional subcodes share one weight, without visiting
+    a code.
 
-    The constant-weight class reads only the column span U = <cols(G)>_F:
-    the weight of the subcode B G is dim U - dim(U cap Bdd), so whether all
-    r-dimensional subcodes share one weight is a property of U, and it is
-    decided once per distinct U.  Codes share few spans: an RREF generator
-    has unit columns at its pivots, so U contains F^k.  The r-minimality
-    verdict is also a property of U, but a false one carries a refutation
-    (W, D) made of the code's own subcodes, so it is decided and refuted
-    code by code.
+    Each count reads only the column span U = <cols(G)>_F inside
+    F^(km) = E^[k], which E-spans E^k: wt(C) = dim U, C is r-minimal iff U
+    is a cutting r-blocking set, and the r-dimensional subcode weights are
+    dim U - dim(U cap M) over the (k-r)-dimensional E-subspaces M.  All
+    three are GL(k,E)-invariant, and each GL(k,E)-orbit of these spans
+    meets the U containing F^k (``_frame_spans``), so for such a property P
+
+        #codes with P = sum over U >= F^k with P(U) of
+                        surj(q, n, dim U) / beta(U),
+
+    where surj(q, n, u) = prod_{i<u} (q^n - q^i) counts the n-tuples of
+    columns that span U and beta(U) the ordered E-bases of E^k inside U
+    (``_basis_count``).  Checks, each a CertificateError: for every
+    dimension d, |GL(k,Q)| times the sum of 1/beta(U) over the spans of
+    dimension d is A_d(k) (``count_e_spanning``); every count is an
+    integer; the total is qbinom(Q, n, k); at k = r + 1 and n >= k the
+    r-minimal count is ``count_r_minimal``.  A budget below the number of
+    codes is refused before any work.
     """
     if n < 0:
         raise ValueError(f"n={n} must be nonnegative")
@@ -694,35 +750,52 @@ def census_codes(tower: FieldTower, n: int, k: int,
     total = qbinom(tower.order, n, k)
     if budget is not None and total > budget:
         raise BudgetExceeded()
-    m = tower.m
-    seen = minimal = constant = 0
-    weight_dist: Dict[int, int] = {}
-    constant_by_span: Dict[Subspace, bool] = {}
-    for sub in enumerate_subspaces(tower, "E", n, k):
-        code = RankCode(tower, n, sub.rows)
-        seen += 1
-        wt = weight(code)
-        weight_dist[wt] = weight_dist.get(wt, 0) + 1
-        if r is not None and is_r_minimal(code, r).verdict:
-            minimal += 1
+    q, m = tower.q, tower.m
+    # per dimension, the sums of 1/beta(U) over every span, the r-minimal
+    # spans and the constant-weight spans
+    sums: Dict[int, List[Fraction]] = {}
+    for u in _frame_spans(tower, k, min(n, k * m)):
+        meets = [[meet for _, meet in meet_dims(u, h)] for h in range(k + 1)]
+        share = Fraction(1, _basis_count(tower, meets))
+        dim_sums = sums.setdefault(u.dim, [Fraction(0)] * 3)
+        dim_sums[0] += share
+        if r is not None and (not 1 <= r < k
+                              or is_cutting(tower, k, u, r).verdict):
+            dim_sums[1] += share
         if constant_weight_r is not None:
-            u = column_support(code)
-            if u not in constant_by_span:
-                constant_by_span[u] = constant_weight_class(
-                    code, constant_weight_r).is_constant
-            constant += constant_by_span[u]
-    if seen != total:
-        raise CertificateError(f"census visited {seen} codes, expected {total}")
+            one_weight = len({u.dim - meet
+                              for meet in meets[k - constant_weight_r]}) == 1
+            if one_weight != (u.dim == m * k):
+                raise CertificateError("constant-weight conditions disagree")
+            dim_sums[2] += share * one_weight
+    # every code count of each dimension: all, r-minimal, constant weight
+    group, counts = qdelta(tower.order, k, k), {}
+    for d, dim_sums in sums.items():
+        spanning = count_e_spanning(q, m, k, d)
+        if group * dim_sums[0] != spanning:
+            raise CertificateError(
+                f"the spans of dimension {d} count {group * dim_sums[0]} "
+                f"F-subspaces that E-span E^{k}, the closed form {spanning}")
+        counts[d] = [qdelta(q, n, d) * s for s in dim_sums]
+        if any(c.denominator != 1 for c in counts[d]):
+            raise CertificateError(f"census counted {counts[d]} codes of "
+                                   f"weight {d}, not whole numbers")
+    weight_dist = {d: int(row[0]) for d, row in counts.items()}
+    minimal, constant = (sum(int(row[i]) for row in counts.values())
+                         for i in (1, 2))
+    if sum(weight_dist.values()) != total:
+        raise CertificateError(f"census counted {sum(weight_dist.values())} "
+                               f"codes, expected {total}")
     report = CountReport(
         inputs={"q": tower.q, "m": m, "n": n, "k": k,
                 **({"r": r} if r is not None else {})},
-        counts={"total": seen, "weight_distribution": weight_dist},
+        counts={"total": total, "weight_distribution": weight_dist},
         formulas={"total_formula": total},
     )
     if r is not None:
         report.counts["r_minimal"] = minimal
-        report.counts["not_r_minimal"] = seen - minimal
-        if k == r + 1:
+        report.counts["not_r_minimal"] = total - minimal
+        if k == r + 1 and n >= k:
             formula = count_r_minimal(tower.q, m, n, r)
             if minimal != formula:
                 raise CertificateError(f"census counted {minimal} r-minimal "

@@ -423,21 +423,33 @@ def test_census_command(capsys):
 
 
 def test_census_count_off_the_closed_form_exits_4(capsys, monkeypatch):
-    # k = r + 1: the counted r-minimal codes must match count_r_minimal
-    real = search.is_r_minimal
+    # k = r + 1: the counted r-minimal codes must match count_r_minimal;
+    # the first span, F^2 itself, is not cutting and holds 7 of the codes
+    real = search.is_cutting
     calls = itertools.count()
 
-    def flip_first(code, r, method="grw"):
-        verdict = real(code, r, method)
+    def flip_first(*args, **kwargs):
+        verdict = real(*args, **kwargs)
         if next(calls) == 0:
             verdict.verdict = not verdict.verdict
         return verdict
 
-    monkeypatch.setattr(search, "is_r_minimal", flip_first)
+    monkeypatch.setattr(search, "is_cutting", flip_first)
     code, out, err = run(capsys, "census", "--field", GF4, "--n", "3",
                          "--k", "2", "--r", "1", "--json")
     assert code == EXIT_CHECK and out == ""
     assert "closed form" in err and "Traceback" not in err
+
+
+def test_census_shorter_than_k_has_no_codes_at_k_r_plus_1(capsys):
+    # n < k: no codes, so nothing to hold against count_r_minimal, whose
+    # own precondition is n >= r + 1
+    code, out, _ = run(capsys, "census", "--field", GF4, "--n", "1",
+                       "--k", "2", "--r", "1", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["counts"]["total"] == obj["counts"]["r_minimal"] == 0
+    assert "r_minimal_formula" not in obj["formulas"]
 
 
 def test_verify_command_deterministic(capsys):

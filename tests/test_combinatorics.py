@@ -7,6 +7,7 @@ from rankmin import combinatorics
 from rankmin.combinatorics import (
     EvasiveCertification,
     corollary_52_bound,
+    count_e_spanning,
     count_r_minimal,
     count_rank_matrices,
     evasive_bound_certifies,
@@ -18,7 +19,7 @@ from rankmin.combinatorics import (
     weierstrass_checks,
 )
 from rankmin.fields import make_field
-from rankmin.linalg import enumerate_subspaces
+from rankmin.linalg import enumerate_subspaces, espan_of_flat
 
 
 def brute_count_subspaces(q, n, d):
@@ -95,6 +96,17 @@ def test_rank_matrix_count_brute_force():
                     counts[rank] = counts.get(rank, 0) + 1
                 for r in range(min(m, n) + 1):
                     assert counts.get(r, 0) == count_rank_matrices(q, m, n, r)
+
+
+@pytest.mark.parametrize("p, m, k", [(2, 2, 2), (2, 2, 3), (2, 3, 2),
+                                     (3, 2, 2)])
+def test_count_e_spanning_matches_enumeration(p, m, k):
+    # the d-dimensional F-subspaces of F^(km) whose E-span is E^k
+    tower = make_field(p, m)
+    for d in range(k * m + 1):
+        want = sum(espan_of_flat(sub).dim == k
+                   for sub in enumerate_subspaces(tower, "F", k * m, d))
+        assert count_e_spanning(p, m, k, d) == want
 
 
 def test_count_r_minimal_examples():

@@ -270,7 +270,9 @@ def _census(field, n, k, r):
 # at r = 1 and r = 2, and e = 2, and a false grw verdict at k = r + 1,
 # whose refutation takes the whole code as W; pinned before the census
 # decided each column span's constant-weight class once and before a
-# subcode of all of E^k became the code itself
+# subcode of all of E^k became the code itself.  The benchmark's census-q8
+# argv on both GF(8) moduli follows, pinned before the census summed over
+# column spans instead of codes
 CENSUS_ARGVS = [
     _census(GF8, 3, 2, 1),
     _census(GF8_OTHER, 3, 2, 1),
@@ -280,6 +282,8 @@ CENSUS_ARGVS = [
     _census(GF16_4, 3, 2, 1),
     ["minimal", "--code", _code(GF8, [[1, 0, 2], [0, 1, 4]]), "--r", "1",
      "--method", "grw", "--json"],
+    _census(GF8, 4, 2, 1),
+    _census(GF8_OTHER, 4, 2, 1),
 ]
 
 CENSUS_PINNED = [
@@ -296,6 +300,10 @@ CENSUS_PINNED = [
     ("c0b7b4dd672a8e5386a6196f1e01bf7931cd17de9041b6194c96a796daa2d604",
      None, 0),
     ("4ba198de135788547e7ecb13b9c6b8b79a068f54d40d858643cf9957aec0c5f7",
+     None, 0),
+    ("1430416829d381e6dbfedde944bffe5cf5f8c1a693c34e4f5c10b2b3bc40c666",
+     None, 0),
+    ("1430416829d381e6dbfedde944bffe5cf5f8c1a693c34e4f5c10b2b3bc40c666",
      None, 0),
 ]
 

@@ -13,11 +13,11 @@ import pytest
 import rankmin
 from rankmin import search, suites
 from rankmin.cli import run_command
-from rankmin.combinatorics import qbinom
+from rankmin.combinatorics import count_r_minimal, qbinom
 from rankmin.fields import _row_kernel, int_to_digits, make_field
 from rankmin.geometry import cutting_evasive_params, is_cutting, is_evasive
-from rankmin.linalg import (Subspace, enumerate_subspaces, free_cells,
-                            mat_vec, unflatten_vector, walk_fills)
+from rankmin.linalg import (CertificateError, Subspace, enumerate_subspaces,
+                            free_cells, mat_vec, unflatten_vector, walk_fills)
 from rankmin.minimality import constant_weight_class, is_r_minimal
 from rankmin.rank_metric import RankCode, column_support, weight
 from rankmin.search import (
@@ -852,9 +852,9 @@ def test_census_constant_weight_matches_full_weight():
 
 
 def _census_counts_code_by_code(tower, n, k, r):
-    """Oracle: the census loop as it ran before the constant-weight class
-    was decided once per column span, every question asked of every code.
-    Returns its counts and the distinct column spans it met."""
+    """Oracle: the census as a loop over every code, every question asked
+    of every code; the constant-weight class only for 1 <= r < k.  Returns
+    its counts and the distinct column spans it met."""
     seen = minimal = constant = 0
     weight_dist = {}
     spans = set()
@@ -865,37 +865,79 @@ def _census_counts_code_by_code(tower, n, k, r):
         weight_dist[wt] = weight_dist.get(wt, 0) + 1
         if is_r_minimal(code, r).verdict:
             minimal += 1
-        if constant_weight_class(code, r).is_constant:
+        if 1 <= r < k and constant_weight_class(code, r).is_constant:
             constant += 1
         spans.add(column_support(code))
-    return {"total": seen, "weight_distribution": weight_dist,
-            "r_minimal": minimal, "not_r_minimal": seen - minimal,
-            "constant_weight": constant}, spans
+    counts = {"total": seen, "weight_distribution": weight_dist,
+              "r_minimal": minimal, "not_r_minimal": seen - minimal}
+    if 1 <= r < k:
+        counts["constant_weight"] = constant
+    return counts, spans
 
 
 @pytest.mark.parametrize("tower, n, k, r", [
     (GF4, 4, 2, 1), (GF4, 5, 2, 1), (GF4, 4, 3, 1), (GF4, 4, 3, 2),
     (GF8, 4, 2, 1), (make_field(2, 3, ext_poly=(1, 0, 1, 1)), 4, 2, 1),
     (make_field(2, 3, basis=[1, 3, 7]), 4, 2, 1), (GF9, 3, 2, 1),
-    (GF16_OVER_GF4, 3, 2, 1)],
+    (GF16_OVER_GF4, 3, 2, 1), (GF4, 3, 0, 1), (GF4, 1, 2, 1),
+    (GF4, 2, 3, 2), (GF4, 3, 2, 0), (GF8, 3, 2, 2), (GF4, 4, 1, 1)],
     ids=["gf4-n4", "gf4-n5", "gf4-k3-r1", "gf4-k3-r2", "gf8", "gf8-other",
-         "gf8-basis", "gf9", "gf16-over-gf4"])
+         "gf8-basis", "gf9", "gf16-over-gf4", "k0", "n1-k2", "n2-k3",
+         "r0", "r-is-k", "r-is-k-k1"])
 def test_census_agrees_with_the_code_by_code_census(monkeypatch, tower, n,
                                                     k, r):
-    # census_codes asks constant_weight_class once per distinct column
-    # span U, and must count what the code-by-code loop counts
+    # census_codes visits each column span U >= F^k of dimension at most n
+    # once, which are exactly the spans the codes have, and must count
+    # what the code-by-code loop counts
     want, spans = _census_counts_code_by_code(tower, n, k, r)
-    asked = []
-    real = search.constant_weight_class
+    visited = []
+    real = search._frame_spans
 
-    def spy(code, cw_r):
-        asked.append(column_support(code))
-        return real(code, cw_r)
+    def spy(*args):
+        for u in real(*args):
+            visited.append(u)
+            yield u
 
-    monkeypatch.setattr(search, "constant_weight_class", spy)
-    rep = census_codes(tower, n, k, r=r, constant_weight_r=r)
+    monkeypatch.setattr(search, "_frame_spans", spy)
+    rep = census_codes(tower, n, k, r=r,
+                       constant_weight_r=r if 1 <= r < k else None)
     assert rep.counts == want
-    assert len(asked) == len(set(asked)) and set(asked) == spans
+    assert len(visited) == len(set(visited)) and set(visited) == spans
     if (tower.order, n, k) == (8, 4, 2):
         # census-q8's shape: U = F^2 + T with T in F^6 / F^2 of dim <= 2
-        assert (rep.counts["total"], len(asked)) == (4745, 51)
+        assert (rep.counts["total"], len(visited)) == (4745, 51)
+
+
+def test_census_reaches_n6_k3_over_gf4():
+    # 376,805 codes; r_minimal matched a code-by-code census of them
+    rep = census_codes(GF4, 6, 3, r=1, constant_weight_r=2)
+    assert rep.counts == {
+        "total": 376805, "r_minimal": 329840, "not_r_minimal": 46965,
+        "weight_distribution": {3: 1395, 4: 45570, 5: 218736, 6: 111104},
+        "constant_weight": 111104}
+
+
+@pytest.mark.parametrize("tower, k, r", [(GF8, 2, 1), (GF9, 2, 1),
+                                         (GF4, 3, 2)],
+                         ids=["gf8", "gf9", "gf4-k3"])
+def test_census_matches_the_closed_form_up_to_n12(tower, k, r):
+    for n in range(r + 1, 13):
+        rep = census_codes(tower, n, k, r=r)
+        assert rep.counts["r_minimal"] == count_r_minimal(tower.q, tower.m,
+                                                          n, r)
+        assert rep.formulas.get("r_minimal_formula") == (
+            rep.counts["r_minimal"] if n >= k else None)
+
+
+def test_census_refuses_a_wrong_basis_count(monkeypatch):
+    # one span's beta off by one breaks the conservation check of its
+    # dimension, whatever the other checks would say
+    real = search._basis_count
+    calls = itertools.count()
+
+    def off_once(tower, meets):
+        return real(tower, meets) + (next(calls) == 7)
+
+    monkeypatch.setattr(search, "_basis_count", off_once)
+    with pytest.raises(CertificateError, match="E-span E\\^2, the closed"):
+        census_codes(GF8, 4, 2, r=1)
